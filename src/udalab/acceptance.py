@@ -16,7 +16,7 @@ import numpy as np
 from . import construction, numrange, rdm, symmetry
 from .basis import PAULI_X, PAULI_Y
 from .certify import FeasibilityConfig, gap_witness, measure, uda_certify, udp_certify
-from .linalg import signature
+from .linalg import row_span, signature
 from .states import pure_density, random_density, random_pure
 
 
@@ -279,12 +279,9 @@ def criterion_11_averaging_projection(seed: int = 0) -> CriterionResult:
                 float(np.max(np.abs(proj @ act - proj))),
             )
         fixed = symmetry.fixed_point_space(group)
-        flat = fixed.reshape(len(fixed), -1)
-        u, svals, _ = np.linalg.svd(proj)
-        image = u[:, svals > 1e-8]
+        image = row_span(proj, 1e-8).basis  # proj is symmetric: row and column space agree
         basis = symmetry._orthonormal_hermitian_basis(group.d)
-        image_mats = np.array([np.tensordot(image[:, k], basis, axes=1)
-                               for k in range(image.shape[1])])
+        image_mats = np.tensordot(image, basis, axes=1)
         match = symmetry.subspace_equal(image_mats, fixed, tol=1e-9)
         worst["image_match"] = max(worst["image_match"], 0.0 if match else 1.0)
         worst["hull_residual"] = max(worst["hull_residual"],
@@ -422,22 +419,7 @@ def run_criterion(func: Callable[..., CriterionResult], seed: int = 0) -> Criter
     return result
 
 
-def run_all(seed: int = 0, indices: list[int] | None = None,
-            threads: int = 1) -> list[CriterionResult]:
-    """Run the selected criteria, optionally across a thread pool.
-
-    Every criterion is a pure function of its seed, so results are identical
-    whatever the thread count; they are returned in index order.
-    """
-    selected = []
-    for func in ALL_CRITERIA:
-        idx = int(func.__name__.split("_")[1])
-        if indices is None or idx in indices:
-            selected.append(func)
-    if threads <= 1:
-        return [run_criterion(func, seed) for func in selected]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda f: run_criterion(f, seed), selected))
-    return sorted(results, key=lambda r: r.index)
+def run_all(seed: int = 0, indices: list[int] | None = None) -> list[CriterionResult]:
+    """Run the selected criteria in index order."""
+    return [run_criterion(func, seed) for func in ALL_CRITERIA
+            if indices is None or int(func.__name__.split("_")[1]) in indices]

@@ -21,8 +21,8 @@ from typing import Any
 
 import numpy as np
 
-from .basis import expectation, gellmann_basis, traceless_coords
-from .construction import ObservableSet, OperatorSubspace, orthocomplement, subspace_from_matrices
+from .basis import expectation
+from .construction import ObservableSet, OperatorSubspace, traceless_complement
 from .linalg import check_hermitian, eig_hermitian, hermitize, hs_norm, signature
 from .states import check_pure, pure_density, random_density, random_pure
 
@@ -91,39 +91,7 @@ def measure(observables, state: np.ndarray) -> np.ndarray:
 def observable_span_complement(observables, d: int) -> OperatorSubspace:
     """Orthocomplement of the observables' traceless span."""
     stack, _, _ = as_observable_stack(observables)
-    traceless = [a - np.trace(a) / d * np.eye(d) for a in stack]
-    span = subspace_from_matrices(np.array(traceless), d)
-    return orthocomplement(span)
-
-
-def projection_equivalence_check(observables, rho1: np.ndarray, rho2: np.ndarray,
-                                 tol: float = 1e-8) -> bool:
-    """Agreement of expectations equals agreement of span projections.
-
-    Evaluates both predicates independently -- equal measurement vectors, and
-    equal Hilbert-Schmidt projections onto the observables' span -- and
-    asserts that they coincide before returning the common value.
-    """
-    stack, _, _ = as_observable_stack(observables)
-    d = stack.shape[1]
-    meas_equal = bool(np.max(np.abs(measure(stack, rho1) - measure(stack, rho2))) < tol)
-
-    basis_ops = gellmann_basis(d)
-    traceless = [a - np.trace(a) / d * np.eye(d) for a in stack]
-    span = subspace_from_matrices(np.array(traceless), d)
-    diff = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
-    coords = traceless_coords(diff, basis_ops)
-    proj = np.zeros_like(coords)
-    for b in span.basis:
-        bc = traceless_coords(b, basis_ops)
-        proj += np.dot(bc, coords) * bc
-    trace_gap = abs(np.trace(diff).real)
-    proj_equal = bool(np.linalg.norm(proj) < tol and trace_gap < tol)
-
-    if meas_equal != proj_equal:
-        raise AssertionError(
-            f"projection/measurement equivalence violated: meas={meas_equal} proj={proj_equal}")
-    return meas_equal
+    return traceless_complement(stack, d)
 
 
 def _project_psd(mats: np.ndarray) -> np.ndarray:

@@ -192,29 +192,20 @@ def cmd_rdm_check(args) -> int:
         return 1
     dims = tuple(int(x) for x in args.dims.split(","))
     if args.mixed:
-        rho = matio.load_matrix(args.mixed)
-        system = rdm.build_mixed_system(rho, dims)
-        unique = rdm.mixed_uda_rank_test(rho, dims, rank_bound=args.rank)
-        doc = {
-            **_provenance("rdm-check", "rdm-uniqueness",
-                          {"dims": list(dims), "mixed": args.mixed, "rank": args.rank}),
-            "system_shape": list(system.matrix.shape),
-            "rank": rdm.rank_row_reduction(system.matrix),
-            "uda": unique,
-            "generic": True,
-        }
+        decision = rdm.mixed_marginal_rank(matio.load_matrix(args.mixed), dims,
+                                           rank_bound=args.rank)
+        config = {"dims": list(dims), "mixed": args.mixed, "rank": args.rank}
     else:
         _, tensor = matio.load_tensor(args.state)
-        state = TripartiteState(dims=dims, c=tensor.reshape(dims))
-        system = rdm.build_system(state)
-        doc = {
-            **_provenance("rdm-check", "rdm-uniqueness",
-                          {"dims": list(dims), "state": args.state}),
-            "system_shape": list(system.matrix.shape),
-            "rank": rdm.rank_row_reduction(system.matrix),
-            "uda": rdm.uda_rank_test(state),
-            "generic": system.generic,
-        }
+        decision = rdm.marginal_rank(TripartiteState(dims=dims, c=tensor.reshape(dims)))
+        config = {"dims": list(dims), "state": args.state}
+    doc = {
+        **_provenance("rdm-check", "rdm-uniqueness", config),
+        "system_shape": list(decision.system.matrix.shape),
+        "rank": decision.rank,
+        "uda": decision.unique,
+        "generic": decision.system.generic,
+    }
     _write_or_print(doc, None)
     return 0
 
@@ -270,7 +261,7 @@ def cmd_reproduce(args) -> int:
     indices = None
     if args.suite != "all":
         indices = [int(x) for x in args.suite.split(",")]
-    results = acceptance.run_all(seed=args.seed, indices=indices, threads=args.threads)
+    results = acceptance.run_all(seed=args.seed, indices=indices)
     for result in results:
         sys.stdout.write(result.line() + "\n")
     failed = [r for r in results if not r.passed]
@@ -335,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="'all' or a comma-separated list of criterion indices")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--threads", type=int, default=1,
-                   help="criteria run concurrently above 1; results stay deterministic")
     p.add_argument("--json", help="write a machine-readable summary here")
     return parser
 

@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import gellmann_basis, traceless_coords, traceless_from_coords
-from .linalg import (
-    check_hermitian,
-    eig_hermitian,
-    hs_norm,
-    mgs_extend,
-    signature,
-    spectral_norm,
-)
+from .basis import gellmann_basis
+from .linalg import check_hermitian, eig_hermitian, row_span, signature, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -205,37 +198,37 @@ def complex_span_rank_demo(family: LineMatrixFamily) -> tuple[np.ndarray, int]:
     if family.d != 4 or family.q != 1 or len(family) != 2:
         raise ValueError("demo requires the d=4, q=1 two-matrix family")
     combo = family.matrices[0] + 1j * family.matrices[1]
-    svals = np.linalg.svd(combo, compute_uv=False)
-    rank = int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
-    return combo, rank
+    return combo, row_span(combo, 1e-9, vectors=False).rank
+
+
+def _traceless_span(mats: np.ndarray, d: int, drop_tol: float):
+    """Kernel span of the traceless parts of ``mats`` in orthonormal real coordinates.
+
+    The coordinates are taken against the traceless Gell-Mann elements
+    scaled to unit Hilbert-Schmidt norm, so Euclidean geometry on them is
+    operator geometry.  Returns the span and the coordinate frame.
+    """
+    frame = gellmann_basis(d)[1:] / np.sqrt(d * (d - 1))
+    coords = np.real(np.einsum("nab,iba->ni", np.asarray(mats, dtype=complex).reshape(-1, d, d),
+                               frame))
+    return row_span(coords, drop_tol), frame
 
 
 def subspace_from_matrices(mats: np.ndarray, d: int, drop_tol: float = 1e-12) -> OperatorSubspace:
-    """Orthonormalize traceless Hermitian matrices into an OperatorSubspace."""
-    basis_ops = gellmann_basis(d)
-    if len(mats) == 0:
-        return OperatorSubspace(d=d, basis=np.zeros((0, d, d), dtype=complex))
-    coords = np.array([traceless_coords(m, basis_ops) for m in mats])
-    ortho = mgs_extend(None, coords, drop_tol)
-    out = np.array([traceless_from_coords(v, basis_ops) for v in ortho])
-    return OperatorSubspace(d=d, basis=out)
+    """Orthonormal basis of the span of traceless Hermitian matrices."""
+    span, frame = _traceless_span(mats, d, drop_tol)
+    return OperatorSubspace(d=d, basis=np.tensordot(span.basis, frame, axes=1))
+
+
+def traceless_complement(mats: np.ndarray, d: int) -> OperatorSubspace:
+    """Orthocomplement, within the traceless Hermitians, of the traceless parts' span."""
+    span, frame = _traceless_span(mats, d, 1e-12)
+    return OperatorSubspace(d=d, basis=np.tensordot(span.complement, frame, axes=1))
 
 
 def orthocomplement(subspace: OperatorSubspace) -> OperatorSubspace:
-    """Orthocomplement within the traceless Hermitian matrices.
-
-    Modified Gram-Schmidt seeded with the subspace basis and extended by the
-    traceless basis elements; the added vectors span the complement.
-    """
-    d = subspace.d
-    basis_ops = gellmann_basis(d)
-    have = np.array([traceless_coords(m, basis_ops) for m in subspace.basis]) \
-        if subspace.dim else None
-    candidates = np.eye(d * d - 1)
-    added = mgs_extend(have, candidates, drop_tol=1e-12)
-    mats = np.array([traceless_from_coords(v, basis_ops) for v in added]) \
-        if len(added) else np.zeros((0, d, d), dtype=complex)
-    return OperatorSubspace(d=d, basis=mats)
+    """Orthocomplement within the traceless Hermitian matrices."""
+    return traceless_complement(subspace.basis, subspace.d)
 
 
 def uda_observables(d: int, q: int = 1) -> ObservableSet:
@@ -247,9 +240,7 @@ def uda_observables(d: int, q: int = 1) -> ObservableSet:
     """
     if d <= 2:
         raise ValueError("construction requires dimension greater than 2")
-    family = complement_family(d, q)
-    span = subspace_from_matrices(family.matrices, d)
-    comp = orthocomplement(span)
+    comp = traceless_complement(complement_family(d, q).matrices, d)
     return ObservableSet(matrices=comp.basis, complement_two_sided=True, q=q)
 
 
@@ -280,27 +271,6 @@ def antitriangular_signature_check(mat: np.ndarray, q: int, det_tol: float = 1e-
     if abs(det) <= det_tol:
         raise ValueError("matrix is numerically singular")
     return signature(mat) == (q + 1, q + 1, 0)
-
-
-def family_gram_rank(family: LineMatrixFamily) -> int:
-    """Rank of the Hilbert-Schmidt Gram matrix of the family."""
-    m = len(family)
-    gram = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = np.real(np.sum(family.matrices[i].conj() * family.matrices[j]))
-    if m == 0:
-        return 0
-    return int(np.linalg.matrix_rank(gram, tol=1e-10 * max(1.0, hs_norm(gram))))
-
-
-def orthogonality_defect(observables: ObservableSet, family: LineMatrixFamily) -> float:
-    """Largest |tr(A_i H_j)| between the observables and the family."""
-    worst = 0.0
-    for a in observables.matrices:
-        for h in family.matrices:
-            worst = max(worst, abs(float(np.real(np.sum(a.conj() * h)))))
-    return worst
 
 
 def top_line_principal_block(family: LineMatrixFamily, coeff: np.ndarray) -> np.ndarray:

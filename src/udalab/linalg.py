@@ -1,12 +1,15 @@
-"""Dense Hermitian linear algebra: eigensolves, signatures, rank, orthonormalization.
+"""Dense Hermitian linear algebra: eigensolves, signatures, spans and ranks.
 
 Everything here works on plain complex ``numpy`` arrays.  Matrices are small
-(dimension of order tens), so dense LAPACK routines are used throughout and
-the rank computation favors a transparent pivoted elimination over anything
-clever.
+(dimension of order tens), so dense LAPACK routines are used throughout.
+Every span, orthocomplement and rank question in the package is answered by
+one SVD kernel, :func:`row_span`, which also reports the singular-value
+margin that decided the rank.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +40,6 @@ def check_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
 def hermitize(mat: np.ndarray) -> np.ndarray:
     """Return the Hermitian part ``(M + M†)/2``."""
     return (mat + mat.conj().T) / 2
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt inner product tr(A†B), real part.
-
-    For Hermitian inputs the product is exactly real; the real part is taken
-    to strip roundoff.
-    """
-    return float(np.real(np.sum(a.conj() * b)))
 
 
 def hs_norm(a: np.ndarray) -> float:
@@ -114,63 +108,48 @@ def interlacing_check(mat: np.ndarray, rows, slack: float = 1e-9) -> bool:
     return True
 
 
-def rank_row_reduction(mat: np.ndarray, pivot_tol: float = 1e-10) -> int:
-    """Numerical rank by Gaussian elimination with complete pivoting.
+@dataclass(frozen=True)
+class Span:
+    """Row span of a matrix, as decided by one SVD.
 
-    Columns are normalized to unit length first, so the pivot threshold is
-    relative to the natural scale of the system regardless of how the caller
-    scaled individual columns.  A pivot is accepted while the largest entry of
-    the remaining block exceeds ``pivot_tol``.
+    ``basis`` and ``complement`` hold orthonormal rows spanning the row space
+    and its orthocomplement (``None`` when only singular values were
+    computed).  ``kept`` and ``dropped`` are the smallest kept and the largest
+    dropped singular value, each relative to the largest: the margin that
+    decided ``rank``.  Both are 0.0 when there is nothing on that side.
     """
-    work = np.array(mat, dtype=complex)
-    if work.size == 0:
-        return 0
-    norms = np.linalg.norm(work, axis=0)
-    nonzero = norms > 0
-    work[:, nonzero] = work[:, nonzero] / norms[nonzero]
-    m, n = work.shape
-    rank = 0
-    while rank < min(m, n):
-        block = np.abs(work[rank:, rank:])
-        i, j = np.unravel_index(np.argmax(block), block.shape)
-        if block[i, j] <= pivot_tol:
-            break
-        i += rank
-        j += rank
-        work[[rank, i], :] = work[[i, rank], :]
-        work[:, [rank, j]] = work[:, [j, rank]]
-        pivot_row = work[rank, rank:] / work[rank, rank]
-        work[rank + 1:, rank:] -= np.outer(work[rank + 1:, rank], pivot_row)
-        rank += 1
-    return rank
+
+    rank: int
+    kept: float
+    dropped: float
+    basis: np.ndarray | None = None
+    complement: np.ndarray | None = None
+
+    def outside(self, rows: np.ndarray) -> np.ndarray:
+        """Norm of each row's component orthogonal to the span."""
+        flat = np.asarray(rows).reshape(len(rows), -1)
+        inside = (flat @ self.basis.conj().T) @ self.basis
+        return np.linalg.norm(flat - inside, axis=1)
 
 
-def mgs_extend(base: np.ndarray | None, candidates: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
-    """Extend an orthonormal set by modified Gram-Schmidt.
+def row_span(rows: np.ndarray, tol: float, vectors: bool = True) -> Span:
+    """Span, orthocomplement and rank of the rows of a matrix.
 
-    ``base`` rows (may be ``None`` or empty) are assumed orthonormal and are
-    not re-emitted.  Each candidate row is orthogonalized twice (one
-    re-orthogonalization pass for numerical hygiene) and kept only if the
-    residual exceeds ``drop_tol`` relative to the candidate's norm.
-
-    Returns the newly added orthonormal rows.
+    A singular value counts toward the rank when it exceeds ``tol`` times the
+    largest one, so the verdict does not depend on the overall scale.  With
+    ``vectors=False`` only singular values are computed, which is all a rank
+    question needs and keeps the memory of large systems down.
     """
-    candidates = np.atleast_2d(np.asarray(candidates))
-    have: list[np.ndarray] = [] if base is None else [row for row in np.atleast_2d(base)]
-    added: list[np.ndarray] = []
-    for vec in candidates:
-        scale = np.linalg.norm(vec)
-        if scale == 0:
-            continue
-        w = vec.astype(complex if np.iscomplexobj(vec) else float).copy()
-        for _ in range(2):
-            for row in have:
-                w = w - np.vdot(row, w) * row
-        res = np.linalg.norm(w)
-        if res > drop_tol * max(1.0, scale):
-            w = w / res
-            have.append(w)
-            added.append(w)
-    if not added:
-        return np.zeros((0, candidates.shape[1]), dtype=candidates.dtype)
-    return np.array(added)
+    rows = np.asarray(rows)
+    if vectors:
+        # a full V is needed for the complement only when rows are too few
+        _, svals, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    else:
+        svals = np.linalg.svd(rows, compute_uv=False)
+    top = float(svals[0]) if svals.size else 0.0
+    rank = int(np.sum(svals > tol * top)) if top > 0 else 0
+    kept = float(svals[rank - 1]) / top if rank else 0.0
+    dropped = float(svals[rank]) / top if top > 0 and rank < svals.size else 0.0
+    if not vectors:
+        return Span(rank, kept, dropped)
+    return Span(rank, kept, dropped, basis=vh[:rank], complement=vh[rank:])

@@ -16,11 +16,11 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import rank_row_reduction
+from .linalg import Span, row_span
 from .states import check_density, partial_trace
 
-GENERIC_GRAM_TOL = 1e-12
-RANK_PIVOT_TOL = 1e-10
+# Relative singular-value threshold for every rank decision in this module.
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,36 +113,55 @@ class RdmLinearSystem:
         return float(np.linalg.norm(self.matrix @ x - self.rhs))
 
 
+def _independent(rows: np.ndarray) -> bool:
+    return row_span(rows, RANK_TOL, vectors=False).rank == rows.shape[0]
+
+
 def build_system(state: TripartiteState) -> RdmLinearSystem:
     """Assemble the marginal-agreement system for a pure tripartite state."""
     d1, d2, d3 = state.dims
     c = state.c
-    # gram[l, l'] = <v_l | v_l'> for the third-slice vectors v_l = c[:, :, l]
-    gram = np.einsum("ijl,ijm->lm", c.conj(), c)
-    generic = bool(abs(np.linalg.det(gram)) > GENERIC_GRAM_TOL)
+    generic = _independent(np.moveaxis(c, 2, 0).reshape(d3, d1 * d2))
 
     # block[m, mp, kp, k] = sum_j c[m, j, k] conj(c[mp, j, kp])
     block = np.einsum("mjk,njp->mnpk", c, c.conj())
-    rows = d1 * d1 * d3 * d3
-    cols = d3 ** 4
-    matrix = np.zeros((rows, cols), dtype=complex)
-    for m in range(d1):
-        for mp in range(d1):
-            for n in range(d3):
-                for npr in range(d3):
-                    row = ((m * d1 + mp) * d3 + n) * d3 + npr
-                    for kp in range(d3):
-                        for k in range(d3):
-                            col = ((kp * d3 + npr) * d3 + k) * d3 + n
-                            matrix[row, col] = block[m, mp, kp, k]
+    # entry at row (m, mp, n, np'), column (kp, np', k, n) is block[m, mp, kp, k]
+    eye = np.eye(d3)
+    matrix = np.einsum("abpk,qQ,nN->abnqpQkN", block, eye, eye).reshape(d1 * d1 * d3 * d3, d3 ** 4)
     # rhs[m, mp, n, np'] = sum_j c[m, j, n] conj(c[mp, j, np'])
     rhs = np.einsum("mjn,pjq->mpnq", c, c.conj())
     return RdmLinearSystem(dims=state.dims, matrix=matrix,
                            rhs=rhs.reshape(-1), generic=generic)
 
 
-def uda_rank_test(state: TripartiteState) -> bool:
-    """Full column rank of the marginal system certifies uniqueness among all states.
+@dataclass(frozen=True)
+class RankDecision:
+    """A marginal rank certificate and the system it was decided on.
+
+    ``span`` carries the rank of the column-normalized system and the
+    singular-value margin that decided it.
+    """
+
+    system: RdmLinearSystem | MixedRdmSystem
+    span: Span
+
+    @property
+    def rank(self) -> int:
+        return self.span.rank
+
+    @property
+    def unique(self) -> bool:
+        return self.span.rank == self.system.matrix.shape[1]
+
+
+def _column_rank(matrix: np.ndarray) -> Span:
+    # unit columns make the threshold independent of how each variable is scaled
+    norms = np.linalg.norm(matrix, axis=0)
+    return row_span(matrix / np.where(norms > 0, norms, 1.0), RANK_TOL, vectors=False)
+
+
+def marginal_rank(state: TripartiteState) -> RankDecision:
+    """Rank of the marginal system, on the system the verdict is decided on.
 
     The role of the third subsystem (whose dimension enters the variable
     count to the fourth power) is given to the smaller of the last two
@@ -153,8 +172,12 @@ def uda_rank_test(state: TripartiteState) -> bool:
     if d3 > d2:
         state = TripartiteState(dims=(d1, d3, d2), c=np.transpose(state.c, (0, 2, 1)))
     system = build_system(state)
-    rank = rank_row_reduction(system.matrix, RANK_PIVOT_TOL)
-    return rank == state.dims[2] ** 4
+    return RankDecision(system=system, span=_column_rank(system.matrix))
+
+
+def uda_rank_test(state: TripartiteState) -> bool:
+    """Full column rank of the marginal system certifies uniqueness among all states."""
+    return marginal_rank(state).unique
 
 
 @dataclass(frozen=True)
@@ -215,13 +238,15 @@ class MixedRdmSystem:
     Variables are indexed by (p3, p4, p3', p4', q3, q3'): the ancilla-summed
     overlaps of the expansion vectors, ``d3^4 d4^2`` of them.  The first
     block (d1^2 d3^2 rows) encodes agreement on the {1,3} marginal, the
-    second (d1^2 d2^2 rows) agreement on {1,2}.
+    second (d1^2 d2^2 rows) agreement on {1,2}.  ``generic`` records linear
+    independence of the d3*d4 purification slices ``lam[:, :, p3, p4]``.
     """
 
     dims: tuple[int, int, int]
     d4: int
     matrix: np.ndarray
     rhs: np.ndarray
+    generic: bool
 
     @property
     def variable_count(self) -> int:
@@ -269,18 +294,18 @@ def build_mixed_system(rho: np.ndarray, dims, eig_tol: float = 1e-10) -> MixedRd
 
     matrix = np.vstack([block13, block12])
     rhs = np.concatenate([rhs13, rhs12])
-    return MixedRdmSystem(dims=(d1, d2, d3), d4=d4, matrix=matrix, rhs=rhs)
+    generic = _independent(lam.transpose(2, 3, 0, 1).reshape(d3 * d4, d1 * d2))
+    return MixedRdmSystem(dims=(d1, d2, d3), d4=d4, matrix=matrix, rhs=rhs, generic=generic)
 
 
-def mixed_uda_rank_test(rho: np.ndarray, dims, rank_bound: int,
-                        enforce_rank_bound: bool = True) -> bool:
-    """Rank certificate for a low-rank mixed state given two marginals.
+def mixed_marginal_rank(rho: np.ndarray, dims, rank_bound: int,
+                        enforce_rank_bound: bool = True) -> RankDecision:
+    """Rank of the stacked marginal system of a low-rank mixed state.
 
     The state's numerical rank must not exceed ``rank_bound``, which in turn
     must respect floor(d1/d3) when ``enforce_rank_bound`` is set (the regime
     where the stacked system can possibly have full column rank is exactly
-    rank <= d1/d3).  Returns ``True`` when the system pins the canonical
-    solution uniquely.
+    rank <= d1/d3).
     """
     d1, d2, d3 = (int(x) for x in dims)
     system = build_mixed_system(rho, dims)
@@ -288,8 +313,13 @@ def mixed_uda_rank_test(rho: np.ndarray, dims, rank_bound: int,
         raise ValueError(f"state rank {system.d4} exceeds the declared bound {rank_bound}")
     if enforce_rank_bound and rank_bound > d1 // d3:
         raise ValueError(f"rank bound {rank_bound} exceeds floor(d1/d3) = {d1 // d3}")
-    rank = rank_row_reduction(system.matrix, RANK_PIVOT_TOL)
-    return rank == system.variable_count
+    return RankDecision(system=system, span=_column_rank(system.matrix))
+
+
+def mixed_uda_rank_test(rho: np.ndarray, dims, rank_bound: int,
+                        enforce_rank_bound: bool = True) -> bool:
+    """``True`` when the stacked system pins the canonical solution uniquely."""
+    return mixed_marginal_rank(rho, dims, rank_bound, enforce_rank_bound).unique
 
 
 def genericity_trial(dims, count: int, seed: int = 0) -> dict[str, Any]:
@@ -298,12 +328,8 @@ def genericity_trial(dims, count: int, seed: int = 0) -> dict[str, Any]:
     passed = 0
     worst_residual = 0.0
     for _ in range(count):
-        state = TripartiteState.random(dims, rng)
-        query = state if state.dims[2] <= state.dims[1] else TripartiteState(
-            dims=(state.dims[0], state.dims[2], state.dims[1]),
-            c=np.transpose(state.c, (0, 2, 1)))
-        system = build_system(query)
+        decision = marginal_rank(TripartiteState.random(dims, rng))
+        system = decision.system
         worst_residual = max(worst_residual, system.residual(system.canonical_solution()))
-        if uda_rank_test(state):
-            passed += 1
+        passed += decision.unique
     return {"count": count, "passed": passed, "worst_canonical_residual": worst_residual}

@@ -23,8 +23,8 @@ import numpy as np
 
 from .basis import gellmann_basis
 from .certify import CertificateOutcome, FALSIFIED, FeasibilityConfig, measure, uda_certify
-from .linalg import check_hermitian, hermitize
-from .states import check_density, pure_density, random_pure
+from .linalg import Span, check_hermitian, row_span
+from .states import pure_density, random_pure
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,6 @@ class SymmetryGroup:
         return cls(elements=tuple(elements))
 
 
-def apply_symmetry(g: SymmetryElement, rho: np.ndarray) -> np.ndarray:
-    """Image of a density matrix; positivity and trace are preserved."""
-    check_density(rho)
-    return hermitize(g.apply(rho))
-
-
 def _orthonormal_hermitian_basis(d: int) -> np.ndarray:
     # every element has squared Hilbert-Schmidt norm d(d-1), identity included
     return gellmann_basis(d) / np.sqrt(d * (d - 1))
@@ -188,43 +182,10 @@ def convex_hull_residual(group: SymmetryGroup, proj: np.ndarray | None = None) -
     return float(np.linalg.norm(flat @ weights - proj.reshape(-1)))
 
 
-def _complex_orthobasis(mats, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (as matrices) of the complex span of ``mats``."""
-    stack = np.array([np.asarray(m, dtype=complex) for m in mats])
-    d = stack.shape[1]
-    flat = stack.reshape(len(stack), d * d)
-    # SVD row space; singular vectors with non-negligible singular values
-    _, svals, vh = np.linalg.svd(flat, full_matrices=False)
-    keep = svals > tol * max(1.0, svals[0] if len(svals) else 1.0)
-    return vh[keep].reshape(-1, d, d)
-
-
-def _project_onto_span(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    flat = mat.reshape(-1)
-    out = np.zeros_like(flat)
-    for b in basis:
-        bf = b.reshape(-1)
-        out = out + np.vdot(bf, flat) * bf
-    return out.reshape(mat.shape)
-
-
-def is_star_algebra(observables, tol: float = 1e-8) -> bool:
-    """Is the complex span of the observables (with identity) product-closed?
-
-    Hermitian spans are automatically adjoint-closed, so only products are
-    probed: every pairwise product of basis elements must project back into
-    the span with small residual.
-    """
-    mats = [np.asarray(m, dtype=complex) for m in _as_matrix_list(observables)]
-    d = mats[0].shape[0]
-    basis = _complex_orthobasis([np.eye(d, dtype=complex)] + mats)
-    for a in basis:
-        for b in basis:
-            prod = a @ b
-            residual = np.linalg.norm(prod - _project_onto_span(prod, basis))
-            if residual > tol * max(1.0, np.linalg.norm(prod)):
-                return False
-    return True
+def _complex_span(mats, tol: float = 1e-10) -> Span:
+    """Kernel span of matrices flattened to vectors of the complex d*d space."""
+    stack = np.asarray(mats, dtype=complex)
+    return row_span(stack.reshape(len(stack), -1), tol)
 
 
 def _as_matrix_list(observables) -> list[np.ndarray]:
@@ -234,23 +195,47 @@ def _as_matrix_list(observables) -> list[np.ndarray]:
     return [m for m in stack]
 
 
+def _unital_span(observables, tol: float = 1e-10) -> tuple[Span, int]:
+    mats = _as_matrix_list(observables)
+    d = mats[0].shape[0]
+    return _complex_span([np.eye(d, dtype=complex)] + mats, tol), d
+
+
+def is_star_algebra(observables, tol: float = 1e-8) -> bool:
+    """Is the complex span of the observables (with identity) product-closed?
+
+    Hermitian spans are automatically adjoint-closed, so only products are
+    probed: every pairwise product of basis elements must project back into
+    the span with small residual.
+    """
+    span, d = _unital_span(observables)
+    basis = span.basis.reshape(-1, d, d)
+    products = np.einsum("iab,jbc->ijac", basis, basis).reshape(-1, d * d)
+    scale = np.maximum(1.0, np.linalg.norm(products, axis=1))
+    return bool(np.all(span.outside(products) <= tol * scale))
+
+
 def commutant(observables, tol: float = 1e-10) -> np.ndarray:
     """Basis of the matrices commuting with every observable.
 
-    The commutator map is stacked into one linear operator on vectorized
-    matrices and its null space extracted by SVD; the complex dimension is
-    the length of the returned stack.
+    The commutator maps are stacked into one linear operator on vectorized
+    matrices; its null space is the orthocomplement of the conjugated rows.
+    The complex dimension is the length of the returned stack.
     """
     mats = _as_matrix_list(observables)
     d = mats[0].shape[0]
     eye = np.eye(d)
-    blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in mats]
-    stacked = np.vstack(blocks) if blocks else np.zeros((1, d * d))
-    _, svals, vh = np.linalg.svd(stacked)
-    svals = np.concatenate([svals, np.zeros(vh.shape[0] - len(svals))])
-    scale = max(1.0, svals[0] if len(svals) else 1.0)
-    null_rows = vh[svals < tol * scale]
-    return null_rows.reshape(-1, d, d)
+    # Commuting with A is commuting with its traceless part.  Scalar parts are
+    # dropped and the rest normalized, so that the relative threshold is never
+    # set by the roundoff of an all-zero commutator map.
+    rows = [np.zeros((1, d * d))]
+    for a in mats:
+        part = a - np.trace(a) / d * eye
+        norm = np.linalg.norm(part)
+        if norm > tol * np.linalg.norm(a):
+            part = part / norm
+            rows.append(np.kron(part, eye) - np.kron(eye, part.T))
+    return row_span(np.vstack(rows).conj(), tol).complement.reshape(-1, d, d)
 
 
 def generated_algebra(observables, tol: float = 1e-10, max_rounds: int = 32) -> np.ndarray:
@@ -258,12 +243,11 @@ def generated_algebra(observables, tol: float = 1e-10, max_rounds: int = 32) -> 
 
     Iterates span <- span + span*span until the dimension stabilizes.
     """
-    mats = _as_matrix_list(observables)
-    d = mats[0].shape[0]
-    basis = _complex_orthobasis([np.eye(d, dtype=complex)] + mats, tol)
+    span, d = _unital_span(observables, tol)
+    basis = span.basis.reshape(-1, d, d)
     for _ in range(max_rounds):
-        products = [a @ b for a in basis for b in basis]
-        new_basis = _complex_orthobasis(list(basis) + products, tol)
+        products = np.einsum("iab,jbc->ijac", basis, basis).reshape(-1, d, d)
+        new_basis = _complex_span(np.concatenate([basis, products]), tol).basis.reshape(-1, d, d)
         if new_basis.shape[0] == basis.shape[0]:
             return new_basis
         basis = new_basis
@@ -272,17 +256,12 @@ def generated_algebra(observables, tol: float = 1e-10, max_rounds: int = 32) -> 
 
 def subspace_equal(stack_a: np.ndarray, stack_b: np.ndarray, tol: float = 1e-8) -> bool:
     """Mutual-projection equality of two complex matrix spans."""
-    basis_a = _complex_orthobasis(stack_a)
-    basis_b = _complex_orthobasis(stack_b)
-    if basis_a.shape[0] != basis_b.shape[0]:
+    span_a = _complex_span(stack_a)
+    span_b = _complex_span(stack_b)
+    if span_a.rank != span_b.rank:
         return False
-    for a in basis_a:
-        if np.linalg.norm(a - _project_onto_span(a, basis_b)) > tol:
-            return False
-    for b in basis_b:
-        if np.linalg.norm(b - _project_onto_span(b, basis_a)) > tol:
-            return False
-    return True
+    return bool(np.all(span_b.outside(span_a.basis) <= tol)
+                and np.all(span_a.outside(span_b.basis) <= tol))
 
 
 def bicommutant_check(observables, tol: float = 1e-8) -> bool:
@@ -473,17 +452,10 @@ def qubit_classification(observables, samples: int = 20, seed: int = 0,
     for m in mats:
         check_hermitian(m)
     cfg = cfg or FeasibilityConfig(restarts=5, max_iterations=1500)
-    directions = np.array([_qubit_bloch(m) for m in mats])
-    svals = np.linalg.svd(directions, compute_uv=False) if directions.size else np.zeros(1)
-    span_dim = int(np.sum(svals > 1e-10 * max(1.0, svals[0] if len(svals) else 1.0)))
+    span = row_span(np.array([_qubit_bloch(m) for m in mats]), 1e-10)
+    span_dim = span.rank
+    frame = span.basis  # orthonormal frame of the span
     labels = {0: "center", 1: "diameter", 2: "disk-section", 3: "full-ball"}
-
-    # orthonormal frame of the span
-    if span_dim:
-        _, _, vh = np.linalg.svd(directions)
-        frame = vh[:span_dim]
-    else:
-        frame = np.zeros((0, 3))
 
     rng = np.random.default_rng(seed)
     stack = np.array(mats)
@@ -507,7 +479,7 @@ def qubit_classification(observables, samples: int = 20, seed: int = 0,
         while True:
             psi = random_pure(2, rng)
             r = _qubit_bloch(pure_density(psi))
-            r_proj = frame.T @ (frame @ r) if span_dim else np.zeros(3)
+            r_proj = frame.T @ (frame @ r)
             if np.linalg.norm(r - r_proj) > 0.2:
                 break
         mirror = _bloch_state(2 * r_proj - r)

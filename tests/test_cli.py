@@ -121,6 +121,38 @@ def test_rdm_check_mixed(capsys, tmp_path):
     assert doc["uda"] is True
 
 
+def test_rdm_check_reports_the_decided_system(capsys, tmp_path):
+    # d3 > d2: the verdict is decided on the system with parties 2 and 3
+    # swapped, and the document must describe that system
+    rng = np.random.default_rng(11)
+    for k in range(3):
+        tensor = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
+        tensor /= np.linalg.norm(tensor)
+        path = tmp_path / f"c{k}.json"
+        matio.write_json(str(path), matio.tensor_to_json((2, 2, 3), tensor))
+        code, out = run(capsys, ["rdm-check", "--dims", "2,2,3", "--state", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["uda"] is True
+        assert doc["rank"] == doc["system_shape"][1]
+
+
+def test_rdm_check_mixed_dependent_slices(capsys, tmp_path):
+    # 1/2 |a><a| (x) |0><0| + 1/2 |b><b| (x) |0><0|: party 3 is always |0>,
+    # so the purification slices with p3 = 1 vanish
+    rng = np.random.default_rng(4)
+    frame = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
+    zero = np.array([1.0, 0.0])
+    rho = sum(np.kron(np.outer(v, v.conj()), np.outer(zero, zero)) for v in frame.T) / 2
+    path = tmp_path / "rho.json"
+    matio.write_json(str(path), matio.matrix_to_json(rho))
+    code, out = run(capsys, ["rdm-check", "--dims", "4,2,2",
+                             "--mixed", str(path), "--rank", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["generic"] is False
+
+
 def test_rdm_check_ghz_demo(capsys):
     code, out = run(capsys, ["rdm-check", "--demo", "ghz"])
     assert code == 0

@@ -7,20 +7,34 @@ from udalab.construction import (
     antitriangular_signature_check,
     complement_family,
     complex_span_rank_demo,
-    family_gram_rank,
     family_signature_check,
     family_size_formula,
     line_length,
     line_positions,
     observable_count_formula,
     orthocomplement,
-    orthogonality_defect,
     subspace_from_matrices,
     totally_nonsingular_matrix,
     uda_observables,
 )
 from udalab.basis import PAULI_X, PAULI_Y, PAULI_Z
-from udalab.linalg import signature
+from udalab.linalg import row_span, signature
+
+
+def family_rank(fam):
+    # Hermitian matrices are independent over the reals exactly when they
+    # are independent over the complex numbers, so flattening is enough.
+    return row_span(fam.matrices.reshape(len(fam), -1), 1e-10).rank
+
+
+def assert_orthonormal_and_orthogonal_to_family(obs, fam):
+    gram = np.real(np.einsum("iab,jba->ij", obs.matrices, obs.matrices))
+    np.testing.assert_allclose(gram, np.eye(len(obs)), atol=1e-10)
+    np.testing.assert_allclose(np.trace(obs.matrices, axis1=1, axis2=2), 0, atol=1e-10)
+    if len(fam):
+        # tr(A_i H_j), relative to the family's entry scale
+        overlaps = np.einsum("iab,jba->ij", obs.matrices, fam.matrices)
+        assert np.max(np.abs(overlaps)) < 1e-12 * np.max(np.abs(fam.matrices))
 
 
 def line_length_oracle(d, k):
@@ -129,12 +143,12 @@ def test_small_dimension_family_is_empty():
 def test_family_counts_and_independence():
     fam6 = complement_family(6, 1)
     assert len(fam6) == 12
-    assert family_gram_rank(fam6) == 12
+    assert family_rank(fam6) == 12
     for q in (1, 2, 3):
         for d in range(2 * q + 2, 13):
             fam = complement_family(d, q)
             assert len(fam) == family_size_formula(d, q)
-            assert family_gram_rank(fam) == len(fam)
+            assert family_rank(fam) == len(fam)
 
 
 def test_family_line_support():
@@ -197,18 +211,17 @@ def test_observable_counts():
             obs = uda_observables(d, q)
             assert len(obs) == observable_count_formula(d, q)
             assert len(obs) + family_size_formula(d, q) == d * d - 1
+    for d, q in ((12, 1), (14, 2), (16, 3)):
+        obs = uda_observables(d, q)
+        assert len(obs) == observable_count_formula(d, q)
+        assert_orthonormal_and_orthogonal_to_family(obs, complement_family(d, q))
 
 
 def test_observables_orthogonal_to_family():
     fam = complement_family(4, 1)
     obs = uda_observables(4, 1)
     assert len(obs) == 13
-    assert orthogonality_defect(obs, fam) < 1e-10
-    # orthonormal under the Hilbert-Schmidt pairing, traceless
-    for a in obs.matrices:
-        assert abs(np.trace(a)) < 1e-10
-    gram = np.real(np.einsum("iab,jba->ij", obs.matrices, obs.matrices))
-    np.testing.assert_allclose(gram, np.eye(13), atol=1e-10)
+    assert_orthonormal_and_orthogonal_to_family(obs, fam)
     assert obs.complement_two_sided
 
 

@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 from udalab.linalg import (
     check_hermitian,
     eig_hermitian,
-    hs_inner,
     interlacing_check,
-    mgs_extend,
-    rank_row_reduction,
+    row_span,
     signature,
 )
 
@@ -99,47 +97,75 @@ def test_interlacing_thousand_random_pairs():
         assert interlacing_check(h, rows)
 
 
-def test_rank_row_reduction_exact_cases():
-    assert rank_row_reduction(np.zeros((3, 4))) == 0
-    assert rank_row_reduction(np.eye(5)) == 5
+def low_rank(rng, m, n, r, complex_entries):
+    left = rng.standard_normal((m, r))
+    right = rng.standard_normal((r, n))
+    if complex_entries:
+        left = left + 1j * rng.standard_normal((m, r))
+        right = right + 1j * rng.standard_normal((r, n))
+    return left @ right
+
+
+def test_span_rank_exact_cases():
+    assert row_span(np.zeros((3, 4)), 1e-10).rank == 0
+    assert row_span(np.eye(5), 1e-10).rank == 5
     mat = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    assert rank_row_reduction(mat) == 1
+    assert row_span(mat, 1e-10).rank == 1
+    dependent = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    assert row_span(dependent, 1e-10).rank == 2
 
 
-def test_rank_row_reduction_matches_svd_rank(rng):
-    for _ in range(25):
-        m = int(rng.integers(2, 9))
-        n = int(rng.integers(2, 9))
-        r = int(rng.integers(1, min(m, n) + 1))
-        left = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        right = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
-        mat = left @ right
-        assert rank_row_reduction(mat) == np.linalg.matrix_rank(mat, tol=1e-10)
+def test_span_rank_matches_matrix_rank(rng):
+    for complex_entries in (False, True):
+        for _ in range(25):
+            m = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 9))
+            r = int(rng.integers(1, min(m, n) + 1))
+            mat = low_rank(rng, m, n, r, complex_entries)
+            rank = row_span(mat, 1e-10).rank
+            assert rank == np.linalg.matrix_rank(mat) == r
+            assert row_span(mat * 1e-7, 1e-10, vectors=False).rank == rank
+            assert row_span(mat * 1e7, 1e-10, vectors=False).rank == rank
 
 
 def test_rank_scale_invariance(rng):
     mat = rng.standard_normal((6, 4))
-    assert rank_row_reduction(mat * 1e-7) == rank_row_reduction(mat)
-    assert rank_row_reduction(mat * 1e7) == rank_row_reduction(mat)
+    assert row_span(mat * 1e-7, 1e-10).rank == row_span(mat, 1e-10).rank
+    assert row_span(mat * 1e7, 1e-10).rank == row_span(mat, 1e-10).rank
 
 
-def test_mgs_extend_orthonormality(rng):
-    base = np.eye(5)[:2]
-    cands = rng.standard_normal((5, 5))
-    added = mgs_extend(base, cands)
-    assert added.shape[0] == 3
-    full = np.vstack([base, added])
-    np.testing.assert_allclose(full @ full.T, np.eye(5), atol=1e-12)
+def test_span_basis_and_complement_orthonormal(rng):
+    for complex_entries in (False, True):
+        for m, n, r in ((3, 7, 2), (9, 5, 3), (4, 4, 4), (6, 6, 1)):
+            span = row_span(low_rank(rng, m, n, r, complex_entries), 1e-10)
+            assert span.rank == r
+            assert span.basis.shape == (r, n)
+            assert span.rank + span.complement.shape[0] == n
+            full = np.vstack([span.basis, span.complement])
+            # orthonormal within each part and orthogonal across them
+            np.testing.assert_allclose(full @ full.conj().T, np.eye(n), atol=1e-12)
 
 
-def test_mgs_extend_drops_dependent():
-    base = None
-    cands = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    added = mgs_extend(base, cands)
-    assert added.shape[0] == 2
+def test_span_basis_spans_the_rows(rng):
+    mat = low_rank(rng, 6, 5, 3, True)
+    span = row_span(mat, 1e-10)
+    scale = np.linalg.norm(mat, axis=1)
+    assert np.all(span.outside(mat) < 1e-12 * scale)
+    # the complement is the null space of the conjugated rows
+    assert np.max(np.abs(mat.conj() @ span.complement.T)) < 1e-12 * np.max(scale)
 
 
-def test_hs_inner_is_real_trace(rng):
-    a = random_hermitian(4, rng)
-    b = random_hermitian(4, rng)
-    assert abs(hs_inner(a, b) - np.trace(a @ b).real) < 1e-12
+def test_span_reports_margin(rng):
+    mat = np.diag([4.0, 2.0, 1e-13, 0.0])
+    span = row_span(mat, 1e-10)
+    assert span.rank == 2
+    assert span.kept == 0.5
+    assert span.dropped == 1e-13 / 4.0
+    values_only = row_span(mat, 1e-10, vectors=False)
+    assert (values_only.rank, values_only.kept, values_only.dropped) == (2, 0.5, 1e-13 / 4.0)
+    assert values_only.basis is None and values_only.complement is None
+    full = row_span(low_rank(rng, 5, 3, 3, False), 1e-10)
+    assert full.rank == 3 and full.dropped == 0.0 and 0 < full.kept <= 1
+    empty = row_span(np.zeros((2, 3)), 1e-10)
+    assert (empty.rank, empty.kept, empty.dropped) == (0, 0.0, 0.0)
+    assert empty.complement.shape == (3, 3)

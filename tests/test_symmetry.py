@@ -7,7 +7,6 @@ from udalab.states import pure_density, random_density
 from udalab.symmetry import (
     SymmetryElement,
     SymmetryGroup,
-    apply_symmetry,
     average_projection,
     bicommutant_check,
     commutant,
@@ -39,7 +38,7 @@ def diagonal_units(d):
 def test_apply_identity():
     rho = random_density(2, 2, 0)
     identity = SymmetryElement(unitary=np.eye(2, dtype=complex))
-    np.testing.assert_allclose(apply_symmetry(identity, rho), rho, atol=1e-12)
+    np.testing.assert_allclose(identity.apply(rho), rho, atol=1e-12)
 
 
 def test_rotation_about_x_fixes_plus_state():
@@ -47,13 +46,13 @@ def test_rotation_about_x_fixes_plus_state():
     rot = np.cos(alpha / 2) * np.eye(2) - 1j * np.sin(alpha / 2) * PAULI_X
     element = SymmetryElement(unitary=rot.astype(complex))
     plus = pure_density(np.array([1, 1], dtype=complex) / np.sqrt(2))
-    np.testing.assert_allclose(apply_symmetry(element, plus), plus, atol=1e-12)
+    np.testing.assert_allclose(element.apply(plus), plus, atol=1e-12)
 
 
 def test_transpose_flips_bloch_y():
     element = SymmetryElement(unitary=np.eye(2, dtype=complex), transpose_flag=True)
     rho = random_density(2, 2, 3)
-    image = apply_symmetry(element, rho)
+    image = element.apply(rho)
     bloch = [float(np.real(np.trace(rho @ p))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
     image_bloch = [float(np.real(np.trace(image @ p))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
     np.testing.assert_allclose(image_bloch, [bloch[0], -bloch[1], bloch[2]], atol=1e-12)
@@ -66,7 +65,7 @@ def test_element_validation_and_composition():
     composed = t.compose(t)
     assert not composed.transpose_flag
     rho = random_density(2, 2, 1)
-    np.testing.assert_allclose(apply_symmetry(composed, rho), rho, atol=1e-12)
+    np.testing.assert_allclose(composed.apply(rho), rho, atol=1e-12)
 
 
 def test_group_closure_validation():
@@ -167,6 +166,18 @@ def test_commutant_dimensions():
     block[1, :2, :2] = np.array([[1, 0], [0, -1]])
     # generators act irreducibly on the top 2x2 block, trivially on the rest
     assert commutant(block).shape[0] == 2
+
+
+def test_commutant_commutes_with_conjugated_observables(rng):
+    for d in (3, 4, 5):
+        gauss = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = np.linalg.qr(gauss)[0]
+        observables = np.einsum("ab,ibc,dc->iad", u, diagonal_units(d), u.conj())
+        comm = commutant(observables)
+        assert comm.shape[0] == d
+        for x in comm:
+            for a in observables:
+                assert np.max(np.abs(x @ a - a @ x)) < 1e-12
 
 
 def test_generated_algebra_dimensions():
