@@ -106,13 +106,20 @@ def low_rank(rng, m, n, r, complex_entries):
     return left @ right
 
 
-def test_span_rank_exact_cases():
+def test_rank_row_reduction_exact_cases():
     assert row_span(np.zeros((3, 4)), 1e-10).rank == 0
     assert row_span(np.eye(5), 1e-10).rank == 5
     mat = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     assert row_span(mat, 1e-10).rank == 1
+
+
+def test_mgs_extend_drops_dependent():
+    # a row that is a multiple of an earlier one adds nothing to the basis
     dependent = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    assert row_span(dependent, 1e-10).rank == 2
+    span = row_span(dependent, 1e-10)
+    assert span.rank == 2
+    assert span.basis.shape == (2, 2)
+    assert span.complement.shape == (0, 2)
 
 
 def test_span_rank_matches_matrix_rank(rng):
