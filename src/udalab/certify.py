@@ -21,9 +21,8 @@ from typing import Any
 
 import numpy as np
 
-from .basis import expectation
 from .construction import ObservableSet, OperatorSubspace, traceless_complement
-from .linalg import check_hermitian, eig_hermitian, hermitize, hs_norm, signature
+from .linalg import check_hermitian, check_hermitian_stack, eig_hermitian, hermitize, hs_norm, signature
 from .states import check_pure, pure_density, random_density, random_pure
 
 CERTIFIED = "CertifiedUnique"
@@ -83,9 +82,15 @@ def as_observable_stack(observables) -> tuple[np.ndarray, bool, int]:
 
 
 def measure(observables, state: np.ndarray) -> np.ndarray:
-    """Expectation values of every observable in the given state."""
+    """Expectation values in a pure or mixed state; raises as :func:`udalab.basis.expectation`."""
     stack, _, _ = as_observable_stack(observables)
-    return np.array([expectation(a, state) for a in stack])
+    check_hermitian_stack(stack)
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1 and state.shape[0] == stack.shape[1]:
+        state = np.outer(state, state.conj())
+    if state.shape != stack.shape[1:]:
+        raise ValueError("state and observable dimensions differ")
+    return np.real(np.einsum("kij,ji->k", stack, state))
 
 
 def observable_span_complement(observables, d: int) -> OperatorSubspace:
@@ -95,45 +100,37 @@ def observable_span_complement(observables, d: int) -> OperatorSubspace:
 
 
 def _project_psd(mats: np.ndarray) -> np.ndarray:
-    """Batched projection onto the PSD cone (eigenvalue clipping)."""
-    herm = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2
-    values, vectors = np.linalg.eigh(herm)
-    clipped = np.clip(values, 0.0, None)
-    return np.einsum("...ab,...b,...cb->...ac", vectors, clipped, vectors.conj())
+    """Batched projection onto the PSD cone (eigenvalue clipping; eigh reads one triangle)."""
+    values, vectors = np.linalg.eigh(mats)
+    return (vectors * np.clip(values, 0.0, None)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 class _AffineProjector:
     """Projection onto {X Hermitian : tr X = 1, tr(A_i X) = t_i}, batched.
 
     ``targets`` may be a single vector or one row per batch entry.  The
-    constraint Gram matrix is inverted once; each projection is a batched
-    small linear solve.
+    constraints C = [I, A_1, ...] are rows of real and imaginary parts, so
+    <C_i, X> = Re tr(C_i† X) is a real dot product: the Gram matrix is one
+    product and each projection two, on the flattened batch.
     """
 
     def __init__(self, stack: np.ndarray, targets: np.ndarray):
-        d = stack.shape[1]
-        constraints = [np.eye(d, dtype=complex)] + [a for a in stack]
-        self.constraints = np.array(constraints)
+        constraints = np.concatenate([np.eye(stack.shape[1])[None], stack], dtype=complex)
+        self.rows = constraints.reshape(len(constraints), -1).view(float)
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        ones = np.ones((targets.shape[0], 1))
-        self.rhs = np.hstack([ones, targets])
-        m = len(constraints)
-        gram = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                gram[i, j] = float(np.real(np.sum(self.constraints[i].conj() * self.constraints[j])))
-        self.gram_pinv = np.linalg.pinv(gram, rcond=1e-13)
+        self.rhs = np.hstack([np.ones((targets.shape[0], 1)), targets])
+        self.gram_pinv = np.linalg.pinv(self.rows @ self.rows.T, rcond=1e-13)
 
-    def _values(self, mats: np.ndarray) -> np.ndarray:
-        # Frobenius inner products <C_i, M> = tr(C_i† M), one row per batch entry
-        return np.real(np.einsum("iab,...ab->...i", self.constraints.conj(), mats))
+    def _gaps(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        flat = np.ascontiguousarray(mats, dtype=complex).reshape(*mats.shape[:-2], -1).view(float)
+        return flat, flat @ self.rows.T - self.rhs
 
     def residual(self, mats: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self._values(mats) - self.rhs, axis=-1)
+        return np.linalg.norm(self._gaps(mats)[1], axis=-1)
 
     def __call__(self, mats: np.ndarray) -> np.ndarray:
-        coeff = (self._values(mats) - self.rhs) @ self.gram_pinv.T
-        return mats - np.einsum("...i,iab->...ab", coeff, self.constraints)
+        flat, gaps = self._gaps(mats)
+        return (flat - (gaps @ self.gram_pinv.T) @ self.rows).view(complex).reshape(mats.shape)
 
 
 def _dykstra(starts: np.ndarray, affine: _AffineProjector, cfg: FeasibilityConfig) -> dict[str, Any]:
@@ -143,21 +140,25 @@ def _dykstra(starts: np.ndarray, affine: _AffineProjector, cfg: FeasibilityConfi
     affine targets).  Returns the PSD iterates, their affine residuals, the
     iteration count, and per-run counts of affine-distance increases (which
     stay at zero up to roundoff slack).
+
+    Dykstra's correction for the affine step is omitted: a sum of projection
+    residuals, it lies in the normal space span{I, A_i}, along which a shift
+    does not move the projection onto the affine set.  So the affine iterate
+    is the projection of the PSD iterate, which also gives its distance.
     """
     x = affine((starts + np.conj(np.swapaxes(starts, -1, -2))) / 2)
     p = np.zeros_like(x)
-    q = np.zeros_like(x)
     y = x
     batch = x.shape[0]
     prev_dist = np.full(batch, np.inf)
     monotonicity_breaks = np.zeros(batch, dtype=int)
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        y = _project_psd(x + p)
-        p = x + p - y
-        x_new = affine(y + q)
-        q = y + q - x_new
-        dist = np.linalg.norm((y - affine(y)).reshape(batch, -1), axis=1)
+        shifted = x + p
+        y = _project_psd(shifted)
+        p = shifted - y
+        x_new = affine(y)
+        dist = np.linalg.norm((y - x_new).reshape(batch, -1), axis=1)
         monotonicity_breaks += dist > prev_dist + 1e-12 * np.maximum(1.0, prev_dist)
         prev_dist = dist
         change = np.linalg.norm((x_new - x).reshape(batch, -1), axis=1)
@@ -229,19 +230,15 @@ def uda_certify(psi: np.ndarray, observables, cfg: FeasibilityConfig | None = No
     cfg = cfg or FeasibilityConfig()
     check_pure(psi)
     stack, _, _ = as_observable_stack(observables)
-    d = stack.shape[1]
-    if psi.shape[0] != d:
-        raise ValueError("state and observable dimensions differ")
-
+    target = measure(stack, psi)  # rejects mismatched dimensions
     if use_structural:
         outcome = _structural_certificate(psi, observables, cfg)
         if outcome is not None:
             return outcome
 
-    target = measure(stack, psi)
     affine = _AffineProjector(stack, target)
     query = pure_density(psi)
-    starts = np.array([random_density(d, d, cfg.seed + r) for r in range(cfg.restarts)])
+    starts = np.array([random_density(len(psi), len(psi), cfg.seed + r) for r in range(cfg.restarts)])
     run = _dykstra(starts, affine, cfg)
     converged = run["residuals"] <= cfg.constraint_tol
     distances = np.linalg.norm((run["points"] - query).reshape(cfg.restarts, -1), axis=1)
@@ -279,17 +276,22 @@ def _sphere_minimize(stack: np.ndarray, target: np.ndarray, start: np.ndarray,
                      cfg: FeasibilityConfig) -> tuple[np.ndarray, float]:
     """Projected gradient descent for ||A(phi) - target||^2 on the unit sphere."""
     phi = start / np.linalg.norm(start)
+    flat = stack.reshape(len(stack), -1)
+
+    def residuals(vec: np.ndarray) -> np.ndarray:
+        # <vec|A_k|vec> = sum_ij A_k[i, j] conj(vec_i) vec_j
+        return np.real(flat @ np.outer(vec.conj(), vec).ravel()) - target
 
     def objective(vec: np.ndarray) -> float:
-        gaps = np.real(np.einsum("i,kij,j->k", vec.conj(), stack, vec)) - target
+        gaps = residuals(vec)
         return float(np.dot(gaps, gaps))
 
     value = objective(phi)
     for _ in range(cfg.max_iterations):
         if value < 1e-20:
             break
-        gaps = np.real(np.einsum("i,kij,j->k", phi.conj(), stack, phi)) - target
-        grad = 2.0 * np.einsum("k,kij,j->i", gaps, stack, phi)
+        gaps = residuals(phi)
+        grad = 2.0 * (gaps @ flat).reshape(stack.shape[1:]) @ phi
         grad = grad - np.vdot(phi, grad) * phi
         gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.gradient_tol:
@@ -347,16 +349,13 @@ def udp_certify(psi: np.ndarray, observables, cfg: FeasibilityConfig | None = No
     cfg = cfg or FeasibilityConfig(restarts=50)
     check_pure(psi)
     stack, _, _ = as_observable_stack(observables)
-    d = stack.shape[1]
-    if psi.shape[0] != d:
-        raise ValueError("state and observable dimensions differ")
-    target = measure(stack, psi)
+    target = measure(stack, psi)  # rejects mismatched dimensions
     rng = np.random.default_rng(cfg.seed)
     best_off_orbit = np.inf
     on_orbit_runs = 0
     near_orbit_runs = 0
     for r in range(cfg.restarts):
-        start = random_pure(d, rng)
+        start = random_pure(len(psi), rng)
         phi, value = _sphere_minimize(stack, target, start, cfg)
         overlap = abs(np.vdot(phi, psi)) ** 2
         if overlap > 1.0 - cfg.distinctness_tol:

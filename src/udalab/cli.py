@@ -212,19 +212,22 @@ def cmd_rdm_check(args) -> int:
 
 def cmd_symmetry(args) -> int:
     stack = matio.load_observables(args.observables)
-    verdict = symmetry.udp_implies_uda_via_symmetry(stack)
+    star = symmetry.is_star_algebra(stack)
+    algebra = symmetry.generated_algebra(stack)
+    comm = symmetry.commutant(stack)
+    verdict = symmetry.symmetry_verdict(stack.shape[1], star, comm)
     doc = {
         **_provenance("symmetry", "symmetry-analysis",
                       {"observables": args.observables,
                        "check_algebra": args.check_algebra,
                        "fixed_dims": args.fixed_dims}),
-        "star_algebra": symmetry.is_star_algebra(stack),
-        "generated_dim": int(symmetry.generated_algebra(stack).shape[0]),
-        "commutant_dim": int(symmetry.commutant(stack).shape[0]),
+        "star_algebra": star,
+        "generated_dim": int(algebra.shape[0]),
+        "commutant_dim": int(comm.shape[0]),
         "certificate": {"certified": verdict.certified, "route": verdict.route},
     }
     if args.check_algebra:
-        doc["bicommutant_identity"] = symmetry.bicommutant_check(stack)
+        doc["bicommutant_identity"] = symmetry.bicommutant_equal(comm, algebra)
     if args.fixed_dims:
         doc["fixed_dims"] = symmetry.realizable_fixed_dims(args.fixed_dims)
     _write_or_print(doc, None)

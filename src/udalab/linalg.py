@@ -17,11 +17,6 @@ HERMITIAN_TOL = 1e-12
 SIGNATURE_TOL = 1e-9
 
 
-def hermitian_defect(mat: np.ndarray) -> float:
-    """Max-norm distance of ``mat`` from its own conjugate transpose."""
-    return float(np.max(np.abs(mat - mat.conj().T)))
-
-
 def check_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     """Raise ``ValueError`` unless ``mat`` is square and Hermitian within ``tol``.
 
@@ -32,8 +27,17 @@ def check_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-    if hermitian_defect(mat) > tol * scale:
+    check_hermitian_stack(mat[None], tol)
+
+
+def check_hermitian_stack(stack: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+    """:func:`check_hermitian` for a ``(k, d, d)`` stack, each matrix against its own scale."""
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2), initial=0.0))
+    defect = np.max(np.abs(stack - np.conj(np.swapaxes(stack, 1, 2))), axis=(1, 2), initial=0.0)
+    if np.any(defect > tol * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
 
 

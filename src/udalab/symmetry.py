@@ -63,15 +63,30 @@ class SymmetryElement:
         return SymmetryElement(unitary=self.unitary.conj().T, transpose_flag=False)
 
 
-def _projectively_equal(a: SymmetryElement, b: SymmetryElement, tol: float = 1e-8) -> bool:
-    """Equality up to a global phase on the unitary (phases act trivially on states)."""
-    if a.transpose_flag != b.transpose_flag:
-        return False
-    overlap = np.trace(a.unitary.conj().T @ b.unitary) / a.d
-    if abs(overlap) < 1e-12:
-        return False
-    phase = overlap / abs(overlap)
-    return bool(np.max(np.abs(a.unitary * phase - b.unitary)) < tol)
+def _stack(elements) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([g.unitary for g in elements], dtype=complex),
+            np.array([g.transpose_flag for g in elements]))
+
+
+def _found(unitaries: np.ndarray, flags: np.ndarray, elements, tol: float = 1e-8) -> np.ndarray:
+    """For each (unitary, flag) candidate: does it equal an element up to a global phase?
+
+    The phase is read off the normalized overlap tr(U† V)/d; candidates are
+    compared against all elements at once, in chunks of bounded size.
+    """
+    targets, target_flags = _stack(elements)
+    d = targets.shape[-1]
+    found = np.zeros(len(unitaries), dtype=bool)
+    step = max(1, 2 ** 12 // (len(targets) * d * d))  # about 2**12 entries per temporary
+    for lo in range(0, len(unitaries), step):
+        cand = unitaries[lo:lo + step]
+        overlap = np.einsum("cab,eab->ce", cand.conj(), targets) / d
+        size = np.abs(overlap)
+        phase = overlap / np.where(size < 1e-12, 1.0, size)
+        gap = np.max(np.abs(cand[:, None] * phase[..., None, None] - targets), axis=(-2, -1))
+        same = (gap < tol) & (size >= 1e-12) & (flags[lo:lo + step, None] == target_flags)
+        found[lo:lo + step] = same.any(axis=1)
+    return found
 
 
 @dataclass(frozen=True)
@@ -83,13 +98,17 @@ class SymmetryGroup:
     def __post_init__(self) -> None:
         if not self.elements:
             raise ValueError("group needs at least the identity")
-        for g in self.elements:
-            if not any(_projectively_equal(g.inverse(), h) for h in self.elements):
-                raise ValueError("element list is not closed under inverses")
-        for g in self.elements:
-            for h in self.elements:
-                if not any(_projectively_equal(g.compose(h), e) for e in self.elements):
-                    raise ValueError("element list is not closed under composition")
+        u, t = _stack(self.elements)
+        adjoint = np.swapaxes(u, -1, -2)
+        inverses = np.where(t[:, None, None], adjoint, adjoint.conj())
+        if not _found(inverses, t, self.elements).all():
+            raise ValueError("element list is not closed under inverses")
+        # g.compose(h) for every pair: U_g times U_h, conjugated when g transposes
+        inner = np.where(t[:, None, None, None], u.conj()[None], u[None])
+        products = np.einsum("gab,ghbc->ghac", u, inner).reshape(-1, *u.shape[1:])
+        flags = (t[:, None] != t[None, :]).reshape(-1)
+        if not _found(products, flags, self.elements).all():
+            raise ValueError("element list is not closed under composition")
 
     @property
     def d(self) -> int:
@@ -105,7 +124,7 @@ class SymmetryGroup:
         frontier = list(generators)
         while frontier:
             g = frontier.pop()
-            if any(_projectively_equal(g, h) for h in elements):
+            if _found(g.unitary[None], np.array([g.transpose_flag]), elements)[0]:
                 continue
             elements.append(g)
             if len(elements) > max_size:
@@ -266,10 +285,12 @@ def subspace_equal(stack_a: np.ndarray, stack_b: np.ndarray, tol: float = 1e-8) 
 
 def bicommutant_check(observables, tol: float = 1e-8) -> bool:
     """Double commutant equals the generated algebra (with identity adjoined)."""
-    first = commutant(observables)
-    second = commutant(first)
-    algebra = generated_algebra(observables)
-    return subspace_equal(second, algebra, tol)
+    return bicommutant_equal(commutant(observables), generated_algebra(observables), tol)
+
+
+def bicommutant_equal(first: np.ndarray, algebra: np.ndarray, tol: float = 1e-8) -> bool:
+    """:func:`bicommutant_check` from the observables' commutant and generated algebra."""
+    return subspace_equal(commutant(first), algebra, tol)
 
 
 @dataclass
@@ -288,9 +309,16 @@ def udp_implies_uda_via_symmetry(observables) -> SymmetryVerdict:
     refutation.
     """
     mats = _as_matrix_list(observables)
-    d = mats[0].shape[0]
-    if is_star_algebra(mats):
-        comm = commutant([np.eye(d, dtype=complex)] + mats)
+    star = is_star_algebra(mats)
+    return symmetry_verdict(mats[0].shape[0], star, commutant(mats) if star else None)
+
+
+def symmetry_verdict(d: int, star: bool, comm: np.ndarray | None) -> SymmetryVerdict:
+    """The verdict of :func:`udp_implies_uda_via_symmetry`, given its star test.
+
+    ``comm`` is the observables' commutant; it is read only when ``star`` holds.
+    """
+    if star:
         return SymmetryVerdict(
             certified=True,
             route="star-subalgebra",

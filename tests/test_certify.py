@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from udalab.basis import PAULI_X, PAULI_Y, PAULI_Z
+from udalab.basis import PAULI_X, PAULI_Y, PAULI_Z, expectation
 from udalab.certify import (
     CERTIFIED,
     FALSIFIED,
     INCONCLUSIVE,
     FeasibilityConfig,
+    _AffineProjector,
+    _dykstra,
     gap_witness,
     ground_state_check,
     measure,
@@ -39,6 +41,25 @@ def test_measure_embedded_pauli_third_level_is_exactly_zero():
     assert np.array_equal(measure(stack, psi), np.zeros(3))
     mixture = np.diag([0.5, 0.5, 0.0]).astype(complex)
     assert np.array_equal(measure(stack, mixture), np.zeros(3))
+
+
+def test_measure_matches_expectation_per_observable(rng):
+    for d in (2, 3, 5):
+        stack = np.array([random_hermitian(d, rng) for _ in range(4)])
+        for state in (random_pure(d, rng), random_density(d, 2, rng)):
+            expected = [expectation(a, state) for a in stack]
+            np.testing.assert_allclose(measure(stack, state), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_measure_errors():
+    skew = PAULI.copy()
+    skew[1, 0, 1] += 1e-6  # no longer Hermitian
+    with pytest.raises(ValueError, match="Hermitian"):
+        measure(skew, np.array([1, 0], dtype=complex))
+    with pytest.raises(ValueError, match="dimensions"):
+        measure(PAULI, random_pure(3, 0))
+    with pytest.raises(ValueError, match="dimensions"):
+        measure(PAULI, random_density(3, 3, 0))
 
 
 def projection_equivalence(observables, rho1, rho2, tol=1e-8):
@@ -180,6 +201,67 @@ def test_dykstra_affine_distance_monotone(rng):
                            for _ in range(3)])
         run = _dykstra(starts, affine, FeasibilityConfig(max_iterations=600))
         assert int(np.sum(run["monotonicity_breaks"])) == 0
+
+
+def reference_dykstra(starts, affine, cfg):
+    """Textbook Dykstra, with the affine correction q and a separate distance projection."""
+    x = affine((starts + np.conj(np.swapaxes(starts, -1, -2))) / 2)
+    p, q, batch = np.zeros_like(x), np.zeros_like(x), len(x)
+    for iterations in range(1, cfg.max_iterations + 1):
+        herm = (x + p + np.conj(np.swapaxes(x + p, -1, -2))) / 2
+        values, vectors = np.linalg.eigh(herm)
+        y = np.einsum("...ab,...b,...cb->...ac", vectors, np.clip(values, 0, None), vectors.conj())
+        p = x + p - y
+        x_new = affine(y + q)
+        q = y + q - x_new
+        dist = np.linalg.norm((y - affine(y)).reshape(batch, -1), axis=1)
+        change = np.linalg.norm((x_new - x).reshape(batch, -1), axis=1)
+        x = x_new
+        if np.all(dist < cfg.constraint_tol) and np.all(change < cfg.constraint_tol * 1e-2):
+            break
+    return y, iterations
+
+
+def test_dykstra_matches_reference_with_affine_correction(rng):
+    cfg = FeasibilityConfig(max_iterations=400)
+    stopped_early = 0
+    for trial in range(12):
+        d = int(rng.integers(2, 6))
+        m = int(rng.integers(1, d * d))
+        stack = np.array([random_hermitian(d, rng) for _ in range(m)])
+        streams = 3
+        if trial % 2:  # one target per stream, as in the consistency scan
+            targets = np.array([measure(stack, random_pure(d, rng)) for _ in range(streams)])
+        else:
+            targets = measure(stack, random_pure(d, rng))
+        affine = _AffineProjector(stack, targets)
+        starts = np.array([random_density(d, d, rng) for _ in range(streams)])
+        run = _dykstra(starts, affine, cfg)
+        points, iterations = reference_dykstra(starts, affine, cfg)
+        assert run["iterations"] == iterations
+        assert np.max(np.abs(run["points"] - points)) < 1e-9
+        stopped_early += iterations < cfg.max_iterations
+    assert 0 < stopped_early < 12  # both converged and capped runs were compared
+
+
+def test_affine_projector_properties(rng):
+    for d in (2, 3, 4, 5):
+        m = int(rng.integers(1, d * d - 1))
+        stack = [random_hermitian(d, rng) for _ in range(m)]
+        stack.append(stack[0] - 2.0 * stack[-1])  # a dependent constraint
+        stack = np.array(stack)
+        targets = np.array([measure(stack, random_pure(d, rng)) for _ in range(4)])
+        affine = _AffineProjector(stack, targets)
+        mats = 10.0 * np.array([random_hermitian(d, rng) for _ in range(4)])
+        projected = affine(mats)
+        scale = np.max(np.abs(mats)) * max(1.0, np.max(np.abs(stack)))
+        assert np.all(affine.residual(projected) < 1e-12 * scale * d * d)
+        assert np.max(np.abs(affine(projected) - projected)) < 1e-12 * scale
+        # the step lies in span{I, A_i}: orthogonal to every direction within the set
+        directions = observable_span_complement(stack, d).basis
+        step = mats - projected
+        overlaps = np.einsum("kab,nab->nk", directions.conj(), step)
+        assert np.max(np.abs(overlaps)) < 1e-12 * scale * d
 
 
 def test_uda_implies_udp_consistency(rng):

@@ -177,6 +177,35 @@ def test_symmetry_command(capsys, tmp_path):
     assert doc["fixed_dims"] == [1, 2, 3, 4, 6, 8, 10, 16]
 
 
+def test_symmetry_command_computes_each_quantity_once(capsys, tmp_path, monkeypatch):
+    from udalab import symmetry
+
+    calls = {"is_star_algebra": [], "generated_algebra": [], "commutant": []}
+    for name in calls:
+        original = getattr(symmetry, name)
+
+        def counted(observables, *args, _name=name, _original=original, **kwargs):
+            result = _original(observables, *args, **kwargs)
+            calls[_name].append((observables, result))
+            return result
+
+        monkeypatch.setattr(symmetry, name, counted)
+    obs = tmp_path / "obs.json"
+    diag = np.array([np.diag([1.0, 0, 0]), np.diag([0.0, 1, 0])]).astype(complex)
+    matio.write_json(str(obs), matio.observables_to_json(diag))
+    assert run(capsys, ["symmetry", "--observables", str(obs)])[0] == 0
+    assert [len(c) for c in calls.values()] == [1, 1, 1]
+    for c in calls.values():
+        c.clear()
+    code, out = run(capsys, ["symmetry", "--observables", str(obs), "--check-algebra"])
+    assert code == 0 and json.loads(out)["bicommutant_identity"] is True
+    assert len(calls["is_star_algebra"]) == 1
+    assert len(calls["generated_algebra"]) == 1
+    # the bicommutant is the commutant of the commutant: one call per input
+    (first_input, first), (second_input, _) = calls["commutant"]
+    assert second_input is first
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         dispatch(["bogus-command"])

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from udalab.linalg import (
     check_hermitian,
+    check_hermitian_stack,
     eig_hermitian,
     interlacing_check,
     row_span,
@@ -43,6 +44,24 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         check_hermitian(np.ones((2, 3)))
+
+
+def test_single_matrix_checks_reject_a_stack():
+    stack = np.zeros((2, 2, 2), dtype=complex)
+    for check in (check_hermitian, eig_hermitian, signature):
+        with pytest.raises(ValueError, match="square matrix"):
+            check(stack)
+    check_hermitian_stack(stack)
+
+
+def test_hermitian_stack_judges_each_matrix_on_its_own_scale():
+    big = np.diag([1e6, -1e6]).astype(complex)
+    skew = np.array([[0, 1e-9], [0, 0]], dtype=complex)  # fine beside big, not alone
+    check_hermitian(big + skew)
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_hermitian_stack(np.array([big, skew]))
+    with pytest.raises(ValueError, match="square matrices"):
+        check_hermitian_stack(np.eye(2))
 
 
 def test_signature_simple_cases():

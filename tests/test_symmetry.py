@@ -75,6 +75,40 @@ def test_group_closure_validation():
                                 SymmetryElement(unitary=np.diag([1, 1j]))))
 
 
+def test_group_closure_validation_batched():
+    eye = np.eye(2, dtype=complex)
+    # inverses present (each element is its own), composition not: X Z ~ Y is missing
+    with pytest.raises(ValueError, match="composition"):
+        SymmetryGroup(elements=(SymmetryElement(unitary=eye), SymmetryElement(unitary=PAULI_X),
+                                SymmetryElement(unitary=PAULI_Z)))
+    # a transposing element composes with the conjugate: U conj(U) = I, although U U != I
+    u = np.diag([1.0, 1j])
+    group = SymmetryGroup(elements=(SymmetryElement(unitary=eye),
+                                    SymmetryElement(unitary=u, transpose_flag=True)))
+    assert len(group) == 2
+    with pytest.raises(ValueError, match="inverses"):  # without the transpose, U† is missing
+        SymmetryGroup(elements=(SymmetryElement(unitary=eye), SymmetryElement(unitary=u)))
+    # a global phase does not make a different element
+    assert len(SymmetryGroup(elements=(SymmetryElement(unitary=1j * eye),))) == 1
+
+
+def test_generate_weyl_and_symmetric_group_orders(rng):
+    def conjugated(d, gens):
+        frame = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        return [SymmetryElement(unitary=frame @ g @ frame.conj().T) for g in gens]
+
+    for d, order in ((3, 9), (4, 16)):
+        shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+        assert len(SymmetryGroup.generate(conjugated(d, [shift, clock]))) == order
+    swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
+    cycle = np.roll(np.eye(4, dtype=complex), 1, axis=0)
+    group = SymmetryGroup.generate(conjugated(4, [swap, cycle]))
+    assert len(group) == 24
+    with pytest.raises(ValueError, match="composition"):
+        SymmetryGroup(elements=group.elements[:-1])
+
+
 def test_generate_builds_closed_groups():
     group = cyclic_diagonal_group(3)
     assert len(group) == 3
