@@ -11,7 +11,6 @@ import argparse
 
 import numpy as np
 
-from udalab.matio import format_float
 from udalab.numrange import boundary_sweep, uniqueness_consistency_scan
 
 
@@ -34,15 +33,7 @@ def main() -> None:
     a2 = random_hermitian(args.d, rng)
 
     planar = boundary_sweep(a1, a2, args.angles)
-    with open(args.csv, "w") as handle:
-        handle.write("theta,x,y,degeneracy\n")
-        for k in range(len(planar)):
-            handle.write(",".join([
-                format_float(planar.thetas[k]),
-                format_float(planar.points[k, 0]),
-                format_float(planar.points[k, 1]),
-                str(int(planar.degeneracy[k])),
-            ]) + "\n")
+    planar.write_csv(args.csv)
     print(f"wrote {len(planar)} boundary points to {args.csv}")
 
     report = uniqueness_consistency_scan(a1, a2, trials=args.trials,

@@ -9,10 +9,11 @@ systems, state-space symmetries) that explains when the two notions of
 uniqueness coincide.
 """
 
-from .basis import bloch_compose, bloch_decompose, expectation, gellmann_basis
+from .basis import expectation, gellmann_basis
 from .certify import (
     CertificateOutcome,
     FeasibilityConfig,
+    falsify_uda,
     gap_witness,
     ground_state_check,
     measure,
@@ -54,14 +55,13 @@ __all__ = [
     "SymmetryGroup",
     "TripartiteState",
     "average_projection",
-    "bloch_compose",
-    "bloch_decompose",
     "boundary_sweep",
     "build_system",
     "commutant",
     "complement_family",
     "eig_hermitian",
     "expectation",
+    "falsify_uda",
     "family_signature_check",
     "fixed_point_space",
     "gap_witness",

@@ -156,7 +156,6 @@ def criterion_07_two_observable_consistency(seed: int = 0, pairs_per_dim: int = 
     rng = np.random.default_rng(seed)
     totals = {"boundary": 0, "interior": 0, "hard_failures": 0,
               "boundary_falsified": 0, "interior_missed": 0}
-    convexity_ok = True
     worst_slack = np.inf
     for d in (3, 4):
         for _ in range(pairs_per_dim):
@@ -171,18 +170,9 @@ def criterion_07_two_observable_consistency(seed: int = 0, pairs_per_dim: int = 
             totals["hard_failures"] += report.hard_failures
             totals["boundary_falsified"] += report.boundary_uda_falsified
             totals["interior_missed"] += report.interior_checked - report.interior_udp_falsified
-
-            planar = numrange.boundary_sweep(a1, a2, angles)
-            states = np.array([random_pure(d, rng) for _ in range(1000)])
-            images = np.stack([
-                np.real(np.einsum("ni,ij,nj->n", states.conj(), a1, states)),
-                np.real(np.einsum("ni,ij,nj->n", states.conj(), a2, states)),
-            ], axis=1)
-            slack = float(np.min(numrange.halfplane_slacks(planar, images)))
-            worst_slack = min(worst_slack, slack)
-            convexity_ok = convexity_ok and slack >= -1e-8
+            worst_slack = min(worst_slack, _convexity_slack(a1, a2, angles, rng))
     ok = (totals["hard_failures"] == 0 and totals["boundary_falsified"] == 0
-          and totals["interior_missed"] == 0 and convexity_ok)
+          and totals["interior_missed"] == 0 and worst_slack >= -1e-8)
     totals["worst_convexity_slack"] = worst_slack
     return CriterionResult(7, "two-observable uniqueness consistency", ok, totals)
 
@@ -199,13 +189,7 @@ def criterion_08_convexity(seed: int = 0) -> CriterionResult:
     for d in (3, 4):
         a1 = _random_hermitian(d, rng)
         a2 = _random_hermitian(d, rng)
-        planar = numrange.boundary_sweep(a1, a2, 360)
-        states = np.array([random_pure(d, rng) for _ in range(1000)])
-        images = np.stack([
-            np.real(np.einsum("ni,ij,nj->n", states.conj(), a1, states)),
-            np.real(np.einsum("ni,ij,nj->n", states.conj(), a2, states)),
-        ], axis=1)
-        worst = min(worst, float(np.min(numrange.halfplane_slacks(planar, images))))
+        worst = min(worst, _convexity_slack(a1, a2, 360, rng))
     return CriterionResult(8, "planar range convexity", worst >= -1e-8,
                            {"worst_slack": worst})
 
@@ -392,6 +376,18 @@ def criterion_14_range_geometry_demos(seed: int = 0) -> CriterionResult:
 def _random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     gauss = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (gauss + gauss.conj().T) / 2
+
+
+def _convexity_slack(a1: np.ndarray, a2: np.ndarray, angles: int,
+                     rng: np.random.Generator) -> float:
+    """Least half-plane slack of 1000 random pure-state images against the swept boundary."""
+    planar = numrange.boundary_sweep(a1, a2, angles)
+    states = np.array([random_pure(a1.shape[0], rng) for _ in range(1000)])
+    images = np.stack([
+        np.real(np.einsum("ni,ij,nj->n", states.conj(), a1, states)),
+        np.real(np.einsum("ni,ij,nj->n", states.conj(), a2, states)),
+    ], axis=1)
+    return float(np.min(numrange.halfplane_slacks(planar, images)))
 
 
 ALL_CRITERIA: list[Callable[..., CriterionResult]] = [

@@ -1,11 +1,11 @@
-"""Orthogonal Hermitian operator bases and Bloch-vector coordinates.
+"""Orthogonal Hermitian operator bases, the Pauli matrices and expectations.
 
 The basis built here consists of the identity (scaled to ``sqrt(d-1) * I``)
 followed by the generalized Gell-Mann matrices scaled by
 ``sqrt(d*(d-1)/2)``, so that every pair satisfies
 ``tr(b_i b_j) = d*(d-1) * delta_ij``.  With that normalization a density
-matrix decomposes as ``rho = (I + r . b[1:]) / d`` with a real coefficient
-vector ``r`` of unit length exactly when ``rho`` is pure.
+matrix is ``rho = (I + r . b[1:]) / d`` with ``r_i = tr(rho b_i) / (d-1)``,
+a real vector of unit length exactly when ``rho`` is pure.
 
 Element order is fixed so serialized output is stable: symmetric
 off-diagonal pairs first (lexicographic in (j, k)), then the antisymmetric
@@ -56,39 +56,6 @@ def gellmann_basis(d: int) -> np.ndarray:
     return out
 
 
-def bloch_decompose(rho: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Coefficient vector r with ``rho = (I + r . basis[1:]) / d``.
-
-    Components are ``r_i = tr(rho basis[i]) / (d - 1)``.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    if basis is None:
-        basis = gellmann_basis(d)
-    if basis.shape[1] != d:
-        raise ValueError("basis dimension does not match the state")
-    traces = np.einsum("ab,iba->i", rho, basis[1:])
-    return np.real(traces) / (d - 1)
-
-
-def bloch_compose(r: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Hermitian matrix ``(I + r . basis[1:]) / d`` for a real vector ``r``.
-
-    The result always has trace one but is not necessarily positive
-    semidefinite; callers that need a state must validate separately.
-    """
-    r = np.asarray(r, dtype=float)
-    if basis is None:
-        d = int(round(np.sqrt(r.size + 1)))
-        if d * d - 1 != r.size:
-            raise ValueError(f"coefficient vector of length {r.size} does not fit any dimension")
-        basis = gellmann_basis(d)
-    d = basis.shape[1]
-    if r.shape != (d * d - 1,):
-        raise ValueError(f"expected {d * d - 1} coefficients, got {r.size}")
-    return (np.eye(d) + np.tensordot(r, basis[1:], axes=1)) / d
-
-
 def expectation(observable: np.ndarray, state: np.ndarray) -> float:
     """Expectation value of a Hermitian observable in a state.
 
@@ -105,24 +72,3 @@ def expectation(observable: np.ndarray, state: np.ndarray) -> float:
     if state.shape != observable.shape:
         raise ValueError("state and observable dimensions differ")
     return float(np.real(np.trace(state @ observable)))
-
-
-def traceless_coords(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real coordinates of the traceless part of ``mat`` in the unit-normalized basis.
-
-    The returned vector has length d*d - 1 and is computed against
-    ``basis[1:] / sqrt(d*(d-1))``, which is orthonormal for the
-    Hilbert-Schmidt inner product.  Euclidean geometry on these coordinates
-    therefore matches operator geometry exactly.
-    """
-    d = basis.shape[1]
-    norm = np.sqrt(d * (d - 1))
-    traces = np.einsum("ab,iba->i", np.asarray(mat, dtype=complex), basis[1:])
-    return np.real(traces) / norm
-
-
-def traceless_from_coords(coords: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`traceless_coords` (traceless Hermitian matrix)."""
-    d = basis.shape[1]
-    norm = np.sqrt(d * (d - 1))
-    return np.tensordot(np.asarray(coords, dtype=float), basis[1:], axes=1) / norm

@@ -22,12 +22,27 @@ from typing import Any
 import numpy as np
 
 from .construction import ObservableSet, OperatorSubspace, traceless_complement
-from .linalg import check_hermitian, check_hermitian_stack, eig_hermitian, hermitize, hs_norm, signature
+from .linalg import (check_hermitian, check_hermitian_stack, eig_hermitian, hermitize, hs_norm,
+                     row_span, signature)
 from .states import check_pure, pure_density, random_density, random_pure
 
 CERTIFIED = "CertifiedUnique"
 FALSIFIED = "Falsified"
 INCONCLUSIVE = "Inconclusive"
+
+# Sphere-gradient line search: first trial step, its shrink factor and floor,
+# and the gradient norm below which a run stops.
+STEP_INIT = 1.0
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-12
+GRADIENT_TOL = 1e-10
+# UDP finals with a larger overlap with the query are tallied as near-orbit.
+ORBIT_OVERLAP = 0.99
+# Complement directions sampled per restart by the two-sided structural route.
+STRUCTURAL_SAMPLES_PER_RESTART = 100
+# Relative singular-value cut of the affine constraints: the square root of
+# the rcond 1e-13 that a pseudo-inverse of their Gram matrix would use.
+AFFINE_RANK_TOL = float(np.sqrt(1e-13))
 
 
 @dataclass
@@ -39,11 +54,6 @@ class FeasibilityConfig:
     seed: int = 0
     constraint_tol: float = 1e-8
     distinctness_tol: float = 1e-4
-    orbit_overlap: float = 0.99
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    min_step: float = 1e-12
-    gradient_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.constraint_tol <= 0 or self.distinctness_tol <= 0:
@@ -105,39 +115,44 @@ def _project_psd(mats: np.ndarray) -> np.ndarray:
     return (vectors * np.clip(values, 0.0, None)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
-class _AffineProjector:
-    """Projection onto {X Hermitian : tr X = 1, tr(A_i X) = t_i}, batched.
+def _flat(mats: np.ndarray) -> np.ndarray:
+    """Matrices as real rows: real and imaginary parts of the flattened entries."""
+    return np.ascontiguousarray(mats, dtype=complex).reshape(*mats.shape[:-2], -1).view(float)
 
-    ``targets`` may be a single vector or one row per batch entry.  The
-    constraints C = [I, A_1, ...] are rows of real and imaginary parts, so
-    <C_i, X> = Re tr(C_i† X) is a real dot product: the Gram matrix is one
-    product and each projection two, on the flattened batch.
+
+class _AffineProjector:
+    """Projection onto {X Hermitian : <C_i, X> = <C_i, anchor>}, C = [I, A_1, ...], batched.
+
+    ``anchors`` are feasible points: one matrix, or one per batch entry.  The
+    constraints are rows of real and imaginary parts, so <C_i, X> =
+    Re tr(C_i† X) is a real dot product.  With Q an orthonormal basis of
+    their span, the projection removes the constraint-space part of
+    X - anchor: X - (X Qᵀ - anchor Qᵀ) Q, two matrix products on the
+    flattened batch.
     """
 
-    def __init__(self, stack: np.ndarray, targets: np.ndarray):
+    def __init__(self, stack: np.ndarray, anchors: np.ndarray):
         constraints = np.concatenate([np.eye(stack.shape[1])[None], stack], dtype=complex)
         self.rows = constraints.reshape(len(constraints), -1).view(float)
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        self.rhs = np.hstack([np.ones((targets.shape[0], 1)), targets])
-        self.gram_pinv = np.linalg.pinv(self.rows @ self.rows.T, rcond=1e-13)
-
-    def _gaps(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        flat = np.ascontiguousarray(mats, dtype=complex).reshape(*mats.shape[:-2], -1).view(float)
-        return flat, flat @ self.rows.T - self.rhs
+        self.basis = row_span(self.rows, AFFINE_RANK_TOL).basis
+        anchors = _flat(np.asarray(anchors, dtype=complex))
+        self.anchor_coords = anchors @ self.basis.T
+        self.anchor_values = anchors @ self.rows.T
 
     def residual(self, mats: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self._gaps(mats)[1], axis=-1)
+        return np.linalg.norm(_flat(mats) @ self.rows.T - self.anchor_values, axis=-1)
 
     def __call__(self, mats: np.ndarray) -> np.ndarray:
-        flat, gaps = self._gaps(mats)
-        return (flat - (gaps @ self.gram_pinv.T) @ self.rows).view(complex).reshape(mats.shape)
+        flat = _flat(mats)
+        step = (flat @ self.basis.T - self.anchor_coords) @ self.basis
+        return (flat - step).view(complex).reshape(mats.shape)
 
 
 def _dykstra(starts: np.ndarray, affine: _AffineProjector, cfg: FeasibilityConfig) -> dict[str, Any]:
     """Dykstra alternating projections between the PSD cone and affine sets.
 
     Runs one projection stream per batch entry (entries may carry different
-    affine targets).  Returns the PSD iterates, their affine residuals, the
+    affine anchors).  Returns the PSD iterates, their affine residuals, the
     iteration count, and per-run counts of affine-distance increases (which
     stay at zero up to roundoff slack).
 
@@ -173,8 +188,8 @@ def _dykstra(starts: np.ndarray, affine: _AffineProjector, cfg: FeasibilityConfi
     }
 
 
-def _structural_certificate(psi: np.ndarray, observables, cfg: FeasibilityConfig,
-                            samples_per_restart: int = 100) -> CertificateOutcome | None:
+def _structural_certificate(psi: np.ndarray, observables,
+                            cfg: FeasibilityConfig) -> CertificateOutcome | None:
     """Certify through the orthocomplement structure when possible."""
     stack, flagged, q = as_observable_stack(observables)
     d = stack.shape[1]
@@ -190,7 +205,7 @@ def _structural_certificate(psi: np.ndarray, observables, cfg: FeasibilityConfig
     if not flagged:
         return None
     rng = np.random.default_rng(cfg.seed)
-    total = cfg.restarts * samples_per_restart
+    total = cfg.restarts * STRUCTURAL_SAMPLES_PER_RESTART
     need = q + 1
     min_plus = d
     min_minus = d
@@ -222,58 +237,80 @@ def uda_certify(psi: np.ndarray, observables, cfg: FeasibilityConfig | None = No
     """Decide or falsify uniqueness among all states for a pure query state.
 
     Structural certificates are attempted first (see module docstring); when
-    unavailable, Dykstra projections are launched from ``cfg.restarts``
-    random starts.  Any feasible point farther than ``distinctness_tol``
-    (Frobenius) from the query projector falsifies; otherwise the verdict is
-    ``Inconclusive`` with per-restart convergence evidence.
+    unavailable, the verdict is that of :func:`falsify_uda`.
     """
     cfg = cfg or FeasibilityConfig()
     check_pure(psi)
-    stack, _, _ = as_observable_stack(observables)
-    target = measure(stack, psi)  # rejects mismatched dimensions
+    measure(observables, psi)  # rejects mismatched dimensions
     if use_structural:
         outcome = _structural_certificate(psi, observables, cfg)
         if outcome is not None:
             return outcome
+    return falsify_uda([psi], observables, cfg)[0]
 
-    affine = _AffineProjector(stack, target)
-    query = pure_density(psi)
-    starts = np.array([random_density(len(psi), len(psi), cfg.seed + r) for r in range(cfg.restarts)])
+
+def falsify_uda(states, observables, cfg: FeasibilityConfig | None = None) -> list[CertificateOutcome]:
+    """Search for a second state with the measurements of each pure query state.
+
+    One batched Dykstra run holds ``cfg.restarts`` streams per state; stream
+    ``i`` of the batch starts from ``random_density(d, d, cfg.seed + i)``.
+    A converged point farther than ``distinctness_tol`` (Frobenius) from its
+    query projector falsifies that query; otherwise its verdict is
+    ``Inconclusive`` with per-restart convergence evidence.  One outcome per
+    state, in order.
+    """
+    cfg = cfg or FeasibilityConfig()
+    stack, _, _ = as_observable_stack(observables)
+    for psi in states:
+        check_pure(psi)
+        measure(stack, psi)  # rejects mismatched dimensions
+    queries = np.array([pure_density(psi) for psi in states])
+    d = stack.shape[1]
+    affine = _AffineProjector(stack, np.repeat(queries, cfg.restarts, axis=0))
+    starts = np.array([random_density(d, d, cfg.seed + i)
+                       for i in range(len(queries) * cfg.restarts)])
     run = _dykstra(starts, affine, cfg)
-    converged = run["residuals"] <= cfg.constraint_tol
-    distances = np.linalg.norm((run["points"] - query).reshape(cfg.restarts, -1), axis=1)
-    hits = np.nonzero(converged & (distances > cfg.distinctness_tol))[0]
-    if hits.size:  # first restart wins, deterministic under the seed
-        r = int(hits[0])
-        return CertificateOutcome(
-            verdict=FALSIFIED,
-            witness=run["points"][r],
+    shape = (len(queries), cfg.restarts)
+    points = run["points"].reshape(*shape, d, d)
+    residuals = run["residuals"].reshape(shape)
+    breaks = run["monotonicity_breaks"].reshape(shape)
+    distances = np.linalg.norm((points - queries[:, None]).reshape(*shape, -1), axis=-1)
+    outcomes = []
+    for k, converged in enumerate(residuals <= cfg.constraint_tol):
+        hits = np.nonzero(converged & (distances[k] > cfg.distinctness_tol))[0]
+        if hits.size:  # first restart wins, deterministic under the seed
+            r = int(hits[0])
+            outcomes.append(CertificateOutcome(
+                verdict=FALSIFIED,
+                witness=points[k, r],
+                evidence={
+                    "route": "dykstra",
+                    "restart": r,
+                    "residual": float(residuals[k, r]),
+                    "distance": float(distances[k, r]),
+                    "iterations": run["iterations"],
+                    "monotonicity_breaks": int(breaks[k, r]),
+                },
+            ))
+            continue
+        any_converged = bool(np.any(converged))
+        outcomes.append(CertificateOutcome(
+            verdict=INCONCLUSIVE,
             evidence={
                 "route": "dykstra",
-                "restart": r,
-                "residual": float(run["residuals"][r]),
-                "distance": float(distances[r]),
-                "iterations": run["iterations"],
-                "monotonicity_breaks": int(run["monotonicity_breaks"][r]),
+                "detail": "no feasible state beyond the distinctness tolerance was found",
+                "restarts": cfg.restarts,
+                "max_distance": float(np.max(distances[k][converged])) if any_converged else 0.0,
+                "worst_residual": float(np.max(residuals[k][converged])) if any_converged else 0.0,
+                "best_residual": float(np.min(residuals[k])),
+                "non_converged": int(np.sum(~converged)),
             },
-        )
-    any_converged = bool(np.any(converged))
-    return CertificateOutcome(
-        verdict=INCONCLUSIVE,
-        evidence={
-            "route": "dykstra",
-            "detail": "no feasible state beyond the distinctness tolerance was found",
-            "restarts": cfg.restarts,
-            "max_distance": float(np.max(distances[converged])) if any_converged else 0.0,
-            "worst_residual": float(np.max(run["residuals"][converged])) if any_converged else 0.0,
-            "best_residual": float(np.min(run["residuals"])),
-            "non_converged": int(np.sum(~converged)),
-        },
-    )
+        ))
+    return outcomes
 
 
-def _sphere_minimize(stack: np.ndarray, target: np.ndarray, start: np.ndarray,
-                     cfg: FeasibilityConfig) -> tuple[np.ndarray, float]:
+def sphere_minimize(stack: np.ndarray, target: np.ndarray, start: np.ndarray,
+                    cfg: FeasibilityConfig) -> tuple[np.ndarray, float]:
     """Projected gradient descent for ||A(phi) - target||^2 on the unit sphere."""
     phi = start / np.linalg.norm(start)
     flat = stack.reshape(len(stack), -1)
@@ -294,7 +331,7 @@ def _sphere_minimize(stack: np.ndarray, target: np.ndarray, start: np.ndarray,
         grad = 2.0 * (gaps @ flat).reshape(stack.shape[1:]) @ phi
         grad = grad - np.vdot(phi, grad) * phi
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < cfg.gradient_tol:
+        if gnorm < GRADIENT_TOL:
             break
 
         def probe(step: float) -> tuple[np.ndarray, float]:
@@ -302,12 +339,12 @@ def _sphere_minimize(stack: np.ndarray, target: np.ndarray, start: np.ndarray,
             trial = trial / np.linalg.norm(trial)
             return trial, objective(trial)
 
-        step = cfg.step_init
+        step = STEP_INIT
         improved = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             trial, trial_value = probe(step)
             if trial_value < value - 1e-4 * step * gnorm * gnorm:
-                if step == cfg.step_init:
+                if step == STEP_INIT:
                     # flat valleys (quartic minima) need steps far above the
                     # unit scale: expand while strictly better.
                     for _ in range(60):
@@ -319,7 +356,7 @@ def _sphere_minimize(stack: np.ndarray, target: np.ndarray, start: np.ndarray,
                             break
                 # a bare Armijo step tends to overshoot the line minimum and
                 # ping-pong across it: contract while strictly better.
-                while step / 2 >= cfg.min_step:
+                while step / 2 >= MIN_STEP:
                     finer, finer_value = probe(step / 2)
                     if finer_value < trial_value:
                         step /= 2
@@ -329,7 +366,7 @@ def _sphere_minimize(stack: np.ndarray, target: np.ndarray, start: np.ndarray,
                 phi, value = trial, trial_value
                 improved = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not improved:
             break
     return phi, value
@@ -356,7 +393,7 @@ def udp_certify(psi: np.ndarray, observables, cfg: FeasibilityConfig | None = No
     near_orbit_runs = 0
     for r in range(cfg.restarts):
         start = random_pure(len(psi), rng)
-        phi, value = _sphere_minimize(stack, target, start, cfg)
+        phi, value = sphere_minimize(stack, target, start, cfg)
         overlap = abs(np.vdot(phi, psi)) ** 2
         if overlap > 1.0 - cfg.distinctness_tol:
             on_orbit_runs += 1
@@ -374,7 +411,7 @@ def udp_certify(psi: np.ndarray, observables, cfg: FeasibilityConfig | None = No
             )
         # margin bookkeeping: finals hovering near the query orbit say
         # nothing about second preimages, so they are tallied separately
-        if overlap <= cfg.orbit_overlap:
+        if overlap <= ORBIT_OVERLAP:
             best_off_orbit = min(best_off_orbit, value)
         else:
             near_orbit_runs += 1
@@ -413,8 +450,9 @@ def gap_witness(v: np.ndarray, observables) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.max(np.abs(v))))
     if abs(np.trace(v).real) > 1e-10 * scale:
         raise ValueError("direction must be traceless")
-    proj = np.array([float(np.real(np.sum(a.conj() * v))) for a in stack])
-    if np.max(np.abs(proj)) > 1e-10:
+    # each overlap against its observable's own scale, so rescaling them changes nothing
+    proj = np.real(np.einsum("kab,ab->k", stack.conj(), v))
+    if np.any(np.abs(proj) > 1e-10 * np.linalg.norm(stack.reshape(len(stack), -1), axis=1)):
         raise ValueError("direction is not orthogonal to the observable span")
     values, vectors = eig_hermitian(v)
     if np.min(np.abs(values)) < 1e-10:

@@ -99,14 +99,10 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _load_cfg(args) -> FeasibilityConfig:
-    return FeasibilityConfig(restarts=args.restarts, seed=args.seed)
-
-
 def cmd_certify(args, mode: str) -> int:
     psi = matio.load_vector(args.state)
     stack = matio.load_observables(args.observables)
-    cfg = _load_cfg(args)
+    cfg = FeasibilityConfig(restarts=args.restarts, seed=args.seed)
     outcome = uda_certify(psi, stack, cfg) if mode == "uda" else udp_certify(psi, stack, cfg)
     doc = _outcome_doc(outcome, _provenance(
         f"certify-{mode}", "uniqueness-certifier",
@@ -117,35 +113,37 @@ def cmd_certify(args, mode: str) -> int:
     return 0
 
 
+def _demo_body(demo: str, seed: int) -> dict:
+    """Keys of a range-geometry demo document, shared by ``numrange --demo`` and ``demo``."""
+    if demo == "qutrit":
+        record = numrange.qutrit_counterexample(seed=seed)
+        return {
+            "target": record.target.tolist(),
+            "pure_state": matio.vector_to_json(record.pure_state),
+            "pure_measurement": record.pure_measurement.tolist(),
+            "mixed_witness": matio.matrix_to_json(record.mixed_witness),
+            "witness_measurement": record.witness_measurement.tolist(),
+            "udp_verdict": record.udp_outcome.verdict,
+            "ball_realization_error": record.ball_realization_error,
+            "passed": record.passed,
+        }
+    record = numrange.bloch_nonconvexity_demo(seed=seed)
+    return {
+        "image_zero": record.image_zero.tolist(),
+        "image_one": record.image_one.tolist(),
+        "midpoint": record.midpoint.tolist(),
+        "min_pure_distance": record.min_pure_distance,
+        "mixed_reaches_midpoint": record.mixed_reaches_midpoint,
+        "passed": record.passed,
+    }
+
+
 def cmd_numrange(args) -> int:
     if args.demo:
-        if args.demo == "qutrit":
-            record = numrange.qutrit_counterexample(seed=args.seed)
-            doc = {
-                **_provenance("numrange", "numerical-range",
-                              {"demo": "qutrit", "seed": args.seed}),
-                "target": record.target.tolist(),
-                "pure_state": matio.vector_to_json(record.pure_state),
-                "pure_measurement": record.pure_measurement.tolist(),
-                "mixed_witness": matio.matrix_to_json(record.mixed_witness),
-                "witness_measurement": record.witness_measurement.tolist(),
-                "udp_verdict": record.udp_outcome.verdict,
-                "ball_realization_error": record.ball_realization_error,
-                "passed": record.passed,
-            }
-        else:
-            record = numrange.bloch_nonconvexity_demo(seed=args.seed)
-            doc = {
-                **_provenance("numrange", "numerical-range",
-                              {"demo": "bloch", "seed": args.seed}),
-                "image_zero": record.image_zero.tolist(),
-                "image_one": record.image_one.tolist(),
-                "midpoint": record.midpoint.tolist(),
-                "min_pure_distance": record.min_pure_distance,
-                "mixed_reaches_midpoint": record.mixed_reaches_midpoint,
-                "passed": record.passed,
-            }
-        _write_or_print(doc, None)
+        _write_or_print({
+            **_provenance("numrange", "numerical-range", {"demo": args.demo, "seed": args.seed}),
+            **_demo_body(args.demo, args.seed),
+        }, None)
         return 0
     if not (args.a1 and args.a2):
         sys.stderr.write("error: --a1 and --a2 are required without --demo\n")
@@ -154,15 +152,7 @@ def cmd_numrange(args) -> int:
     a2 = matio.load_matrix(args.a2)
     planar = numrange.boundary_sweep(a1, a2, args.angles)
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write("theta,x,y,degeneracy\n")
-            for k in range(len(planar)):
-                handle.write(",".join([
-                    matio.format_float(planar.thetas[k]),
-                    matio.format_float(planar.points[k, 0]),
-                    matio.format_float(planar.points[k, 1]),
-                    str(int(planar.degeneracy[k])),
-                ]) + "\n")
+        planar.write_csv(args.csv)
     doc = {
         **_provenance("numrange", "numerical-range",
                       {"a1": args.a1, "a2": args.a2, "angles": args.angles,
@@ -235,27 +225,10 @@ def cmd_symmetry(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    doc = _provenance("demo", "numerical-range", {"name": args.name, "seed": args.seed})
     if args.name == "qutrit-gap":
-        record = numrange.qutrit_counterexample(seed=args.seed)
-        doc = {
-            **_provenance("demo", "numerical-range", {"name": args.name, "seed": args.seed}),
-            "observable_count": 3,
-            "pure_state": matio.vector_to_json(record.pure_state),
-            "pure_measurement": record.pure_measurement.tolist(),
-            "mixed_witness": matio.matrix_to_json(record.mixed_witness),
-            "witness_measurement": record.witness_measurement.tolist(),
-            "udp_verdict": record.udp_outcome.verdict,
-            "passed": record.passed,
-        }
-    else:
-        record = numrange.bloch_nonconvexity_demo(seed=args.seed)
-        doc = {
-            **_provenance("demo", "numerical-range", {"name": args.name, "seed": args.seed}),
-            "midpoint": record.midpoint.tolist(),
-            "min_pure_distance": record.min_pure_distance,
-            "mixed_reaches_midpoint": record.mixed_reaches_midpoint,
-            "passed": record.passed,
-        }
+        doc["observable_count"] = 3
+    doc.update(_demo_body("qutrit" if args.name == "qutrit-gap" else "bloch", args.seed))
     _write_or_print(doc, None)
     return 0
 

@@ -1,4 +1,4 @@
-"""Planar joint numerical ranges: boundary sweeps, extreme points, demos.
+"""Planar joint numerical ranges: boundary sweeps, the consistency scan, demos.
 
 For two Hermitian observables the set of pure-state expectation pairs is the
 classical numerical range of ``A1 + i A2`` and is convex; its boundary is
@@ -22,14 +22,24 @@ from .basis import PAULI_X, PAULI_Y, PAULI_Z
 from .certify import (
     CertificateOutcome,
     FeasibilityConfig,
-    _AffineProjector,
-    _dykstra,
-    _sphere_minimize,
+    falsify_uda,
     measure,
+    sphere_minimize,
     udp_certify,
 )
+# Not used here: re-exported because udabench's tracer and scripts/bench_pair.py
+# patch the Dykstra engine by name in this module as well as in ``certify``.
+from .certify import _dykstra  # noqa: F401
 from .linalg import check_hermitian, eig_hermitian
-from .states import pure_density, random_density, random_pure
+from .matio import format_float
+from .states import random_pure
+
+# Relative band under the top eigenvalue within which the supporting
+# eigenvalue of a sweep angle counts as degenerate.
+DEGENERACY_TOL = 1e-8
+# Interior samples must clear every supporting half-plane by this share of
+# the boundary's diameter.
+INTERIOR_MARGIN = 0.05
 
 
 @dataclass
@@ -50,6 +60,14 @@ class PlanarRange:
     def __len__(self) -> int:
         return len(self.thetas)
 
+    def write_csv(self, path: str) -> None:
+        """Write one ``theta,x,y,degeneracy`` line per boundary point."""
+        with open(path, "w") as handle:
+            handle.write("theta,x,y,degeneracy\n")
+            for theta, (x, y), degeneracy in zip(self.thetas, self.points, self.degeneracy):
+                handle.write(f"{format_float(theta)},{format_float(x)},{format_float(y)},"
+                             f"{int(degeneracy)}\n")
+
 
 def pauli_embedded(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The qubit Pauli triple acting on the first two levels of a d-level system."""
@@ -63,12 +81,12 @@ def pauli_embedded(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out[0], out[1], out[2]
 
 
-def _sweep_angle(a1: np.ndarray, a2: np.ndarray, theta: float, degeneracy_tol: float):
+def _sweep_angle(a1: np.ndarray, a2: np.ndarray, theta: float):
     herm = np.cos(theta) * a1 + np.sin(theta) * a2
     values, vectors = eig_hermitian(herm)
     top = values[-1]
     scale = max(1.0, float(np.max(np.abs(values))))
-    multiplicity = int(np.sum(values > top - degeneracy_tol * scale))
+    multiplicity = int(np.sum(values > top - DEGENERACY_TOL * scale))
     psi = vectors[:, -1]
     point = (
         float(np.real(np.vdot(psi, a1 @ psi))),
@@ -78,7 +96,6 @@ def _sweep_angle(a1: np.ndarray, a2: np.ndarray, theta: float, degeneracy_tol: f
 
 
 def boundary_sweep(a1: np.ndarray, a2: np.ndarray, angles: int = 720,
-                   degeneracy_tol: float = 1e-8,
                    refine_gap: float | None = None,
                    max_points: int = 4096) -> PlanarRange:
     """Trace the range boundary over a grid of supporting angles.
@@ -97,7 +114,7 @@ def boundary_sweep(a1: np.ndarray, a2: np.ndarray, angles: int = 720,
         raise ValueError("observable dimensions differ")
 
     thetas = list(np.linspace(0.0, 2 * np.pi, angles, endpoint=False))
-    records = {t: _sweep_angle(a1, a2, t, degeneracy_tol) for t in thetas}
+    records = {t: _sweep_angle(a1, a2, t) for t in thetas}
     if refine_gap is not None:
         while len(records) < max_points:
             ordered = sorted(records)
@@ -108,7 +125,7 @@ def boundary_sweep(a1: np.ndarray, a2: np.ndarray, angles: int = 720,
                 if np.linalg.norm(p_hi - p_lo) > refine_gap:
                     mid = (lo + hi) / 2 % (2 * np.pi)
                     if mid not in records:
-                        records[mid] = _sweep_angle(a1, a2, mid, degeneracy_tol)
+                        records[mid] = _sweep_angle(a1, a2, mid)
                         inserted = True
                 if len(records) >= max_points:
                     break
@@ -141,59 +158,6 @@ def halfplane_slacks(planar: PlanarRange, points: np.ndarray) -> np.ndarray:
     return np.min(planar.support_values[None, :] - proj, axis=1)
 
 
-def embry_extreme_test(x, a1: np.ndarray, a2: np.ndarray,
-                       sample_states: np.ndarray | None = None,
-                       search_restarts: int = 200, seed: int = 0,
-                       match_tol: float = 1e-8, closure_tol: float = 1e-7) -> bool:
-    """Probe extremality of a range point through achieving-state closure.
-
-    A point is extreme exactly when the achieving vectors form a linear
-    subspace (up to scalars), so for every achieving pair the normalized sum
-    must achieve the point as well.  Achieving states are collected from
-    ``sample_states`` plus random-restart searches; enumeration is heuristic,
-    so a ``True`` answer certifies the probes that were made.
-    """
-    target = np.asarray(x, dtype=float)
-    stack = np.array([a1, a2])
-    cfg = FeasibilityConfig(restarts=search_restarts, seed=seed, max_iterations=300)
-    rng = np.random.default_rng(seed)
-    d = a1.shape[0]
-
-    achieving: list[np.ndarray] = []
-
-    def image(psi: np.ndarray) -> np.ndarray:
-        return measure(stack, psi)
-
-    def consider(psi: np.ndarray) -> None:
-        if np.linalg.norm(image(psi) - target) > match_tol:
-            return
-        for known in achieving:
-            if abs(np.vdot(known, psi)) ** 2 > 1.0 - 1e-8:
-                return
-        achieving.append(psi)
-
-    if sample_states is not None:
-        for psi in np.atleast_2d(sample_states):
-            consider(psi / np.linalg.norm(psi))
-    for _ in range(search_restarts):
-        phi, value = _sphere_minimize(stack, target, random_pure(d, rng), cfg)
-        if value < match_tol ** 2:
-            consider(phi)
-
-    if not achieving:
-        raise ValueError("no achieving state found: point not seen in the range")
-
-    for i in range(len(achieving)):
-        for j in range(i + 1, len(achieving)):
-            combo = achieving[i] + achieving[j]
-            norm = np.linalg.norm(combo)
-            if norm < 1e-8:
-                continue
-            if np.linalg.norm(image(combo / norm) - target) > closure_tol:
-                return False
-    return True
-
-
 @dataclass
 class ConsistencyReport:
     """Tally of the pointwise uniqueness scan over a planar range."""
@@ -213,8 +177,7 @@ class ConsistencyReport:
 
 def uniqueness_consistency_scan(a1: np.ndarray, a2: np.ndarray, trials: int = 10,
                                 seed: int = 0, angles: int = 64,
-                                cfg: FeasibilityConfig | None = None,
-                                interior_margin: float = 0.05) -> ConsistencyReport:
+                                cfg: FeasibilityConfig | None = None) -> ConsistencyReport:
     """Stress-test the pure/mixed uniqueness equivalence for two observables.
 
     Every boundary state with a nondegenerate supporting eigenvalue must pass
@@ -244,31 +207,18 @@ def uniqueness_consistency_scan(a1: np.ndarray, a2: np.ndarray, trials: int = 10
         thetas.append(float(planar.thetas[k]))
     report.boundary_checked = len(seen)
 
-    if seen:
-        # one batched falsifier run over every boundary state and restart
-        targets = np.array([measure(stack, s) for s in seen])
-        repeated = np.repeat(targets, cfg.restarts, axis=0)
-        affine = _AffineProjector(stack, repeated)
-        starts = np.array([random_density(d, d, cfg.seed + i)
-                           for i in range(len(seen) * cfg.restarts)])
-        run = _dykstra(starts, affine, cfg)
-        queries = np.repeat(np.array([pure_density(s) for s in seen]), cfg.restarts, axis=0)
-        distances = np.linalg.norm(
-            (run["points"] - queries).reshape(len(starts), -1), axis=1)
-        bad = (run["residuals"] <= cfg.constraint_tol) & (distances > cfg.distinctness_tol)
-        for idx in np.nonzero(bad.reshape(len(seen), cfg.restarts).any(axis=1))[0]:
-            report.boundary_uda_falsified += 1
-            udp = udp_certify(seen[idx], stack, cfg)
-            if not udp.falsified:
-                report.hard_failures += 1
-                report.details.append({
-                    "kind": "hard-failure",
-                    "theta": thetas[idx],
-                })
+    outcomes = falsify_uda(seen, stack, cfg) if seen else []
+    for psi, theta, outcome in zip(seen, thetas, outcomes):
+        if not outcome.falsified:
+            continue
+        report.boundary_uda_falsified += 1
+        if not udp_certify(psi, stack, cfg).falsified:
+            report.hard_failures += 1
+            report.details.append({"kind": "hard-failure", "theta": theta})
 
     diameter = float(np.max(np.linalg.norm(
         planar.points[:, None, :] - planar.points[None, :, :], axis=-1)))
-    margin = interior_margin * max(diameter, 1e-12)
+    margin = INTERIOR_MARGIN * max(diameter, 1e-12)
     found = 0
     attempts = 0
     while found < trials and attempts < 200 * trials:
@@ -413,7 +363,7 @@ def bloch_nonconvexity_demo(probes: int = 10000, seed: int = 0) -> SphereGapReco
         dist = float(np.linalg.norm(measure(stack, psi) - midpoint))
         best = min(best, dist)
         if k < 32:
-            phi, value = _sphere_minimize(stack, midpoint, psi, cfg)
+            phi, value = sphere_minimize(stack, midpoint, psi, cfg)
             best = min(best, float(np.sqrt(value)))
 
     mixed = np.eye(2, dtype=complex) / 2

@@ -38,12 +38,6 @@ class TripartiteState:
             raise ValueError("state tensor is not normalized")
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, dims) -> "TripartiteState":
-        dims = tuple(int(x) for x in dims)
-        tensor = np.asarray(vec, dtype=complex).reshape(dims)
-        return cls(dims=dims, c=tensor)
-
-    @classmethod
     def random(cls, dims, seed: int | np.random.Generator = 0) -> "TripartiteState":
         dims = tuple(int(x) for x in dims)
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

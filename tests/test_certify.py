@@ -9,6 +9,7 @@ from udalab.certify import (
     FeasibilityConfig,
     _AffineProjector,
     _dykstra,
+    falsify_uda,
     gap_witness,
     ground_state_check,
     measure,
@@ -188,15 +189,12 @@ def test_udp_falsifies_ghz_with_two_local_words():
 def test_dykstra_affine_distance_monotone(rng):
     # per-run diagnostic: distance to the affine set never increases beyond
     # roundoff slack, across random observable sets and starts
-    from udalab.certify import _AffineProjector, _dykstra
-    from udalab.states import random_density
-
     for _ in range(10):
         d = int(rng.integers(2, 6))
         m = int(rng.integers(1, d * d))
         stack = np.array([random_hermitian(d, rng) for _ in range(m)])
         psi = random_pure(d, rng)
-        affine = _AffineProjector(stack, measure(stack, psi))
+        affine = _AffineProjector(stack, pure_density(psi))
         starts = np.array([random_density(d, d, int(rng.integers(2**31)))
                            for _ in range(3)])
         run = _dykstra(starts, affine, FeasibilityConfig(max_iterations=600))
@@ -230,11 +228,11 @@ def test_dykstra_matches_reference_with_affine_correction(rng):
         m = int(rng.integers(1, d * d))
         stack = np.array([random_hermitian(d, rng) for _ in range(m)])
         streams = 3
-        if trial % 2:  # one target per stream, as in the consistency scan
-            targets = np.array([measure(stack, random_pure(d, rng)) for _ in range(streams)])
+        if trial % 2:  # one anchor per stream, as in a batch of several queries
+            anchors = np.array([pure_density(random_pure(d, rng)) for _ in range(streams)])
         else:
-            targets = measure(stack, random_pure(d, rng))
-        affine = _AffineProjector(stack, targets)
+            anchors = pure_density(random_pure(d, rng))
+        affine = _AffineProjector(stack, anchors)
         starts = np.array([random_density(d, d, rng) for _ in range(streams)])
         run = _dykstra(starts, affine, cfg)
         points, iterations = reference_dykstra(starts, affine, cfg)
@@ -250,8 +248,8 @@ def test_affine_projector_properties(rng):
         stack = [random_hermitian(d, rng) for _ in range(m)]
         stack.append(stack[0] - 2.0 * stack[-1])  # a dependent constraint
         stack = np.array(stack)
-        targets = np.array([measure(stack, random_pure(d, rng)) for _ in range(4)])
-        affine = _AffineProjector(stack, targets)
+        anchors = np.array([pure_density(random_pure(d, rng)) for _ in range(4)])
+        affine = _AffineProjector(stack, anchors)
         mats = 10.0 * np.array([random_hermitian(d, rng) for _ in range(4)])
         projected = affine(mats)
         scale = np.max(np.abs(mats)) * max(1.0, np.max(np.abs(stack)))
@@ -262,6 +260,47 @@ def test_affine_projector_properties(rng):
         step = mats - projected
         overlaps = np.einsum("kab,nab->nk", directions.conj(), step)
         assert np.max(np.abs(overlaps)) < 1e-12 * scale * d
+
+
+def test_falsify_uda_single_state_matches_uda_certify():
+    cfg = FeasibilityConfig(restarts=5, seed=3)
+    verdicts = set()
+    for stack, psi in ((qutrit_pauli_stack(), np.array([0, 0, 1], dtype=complex)),
+                       (PAULI, random_pure(2, 4))):
+        single = uda_certify(psi, stack, cfg, use_structural=False)
+        verdicts.add(single.verdict)
+        (batched,) = falsify_uda([psi], stack, cfg)
+        assert batched.verdict == single.verdict
+        assert batched.evidence == single.evidence
+        if single.witness is None:
+            assert batched.witness is None
+        else:
+            assert np.array_equal(batched.witness, single.witness)
+    assert verdicts == {FALSIFIED, INCONCLUSIVE}
+
+
+def test_falsify_uda_seeds_the_whole_batch(monkeypatch):
+    import udalab.certify as certify
+
+    recorded = []
+    engine = certify._dykstra
+
+    def wrapped(starts, affine, cfg):
+        recorded.append(starts)
+        return engine(starts, affine, cfg)
+
+    monkeypatch.setattr(certify, "_dykstra", wrapped)
+    stack = qutrit_pauli_stack()[:2]
+    states = [random_pure(3, k) for k in range(4)]
+    cfg = FeasibilityConfig(restarts=3, seed=11, max_iterations=50)
+    outcomes = falsify_uda(states, stack, cfg)
+    assert len(outcomes) == len(states)
+    assert len(recorded) == 1  # one batched run for every state and restart
+    expected = [random_density(3, 3, cfg.seed + i) for i in range(len(states) * cfg.restarts)]
+    assert np.array_equal(recorded[0], np.array(expected))
+    for outcome in outcomes:
+        assert outcome.evidence["route"] == "dykstra"
+        assert outcome.verdict in (FALSIFIED, INCONCLUSIVE)
 
 
 def test_uda_implies_udp_consistency(rng):
@@ -291,6 +330,20 @@ def test_gap_witness_scale_covariance():
     phi2, twin2 = gap_witness(4.2 * direction, obs)
     assert abs(abs(np.vdot(phi1, phi2)) - 1) < 1e-12
     np.testing.assert_allclose(twin1, twin2, atol=1e-12)
+
+
+def test_gap_witness_invariant_under_observable_scale():
+    d = 4
+    rng = np.random.default_rng(0)
+    frame = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    v = (frame * np.array([-3.0, 1.0, 1.0, 1.0])) @ frame.conj().T
+    v = (v + v.conj().T) / 2  # rotated off the diagonal, so overlaps carry roundoff
+    obs = orthocomplement(subspace_from_matrices(v[None], d)).basis
+    phi, twin = gap_witness(v, obs)
+    for scale in (1e-6, 1.0, 1e9):
+        scaled_phi, scaled_twin = gap_witness(v, scale * obs)
+        assert np.array_equal(scaled_phi, phi)
+        assert np.array_equal(scaled_twin, twin)
 
 
 def test_gap_witness_orthogonality_forces_equal_measurements(rng):

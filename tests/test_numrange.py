@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from udalab.basis import PAULI_X, PAULI_Y, PAULI_Z
-from udalab.certify import FeasibilityConfig, measure
+from udalab.certify import measure
 from udalab.numrange import (
     bloch_nonconvexity_demo,
     boundary_sweep,
-    embry_extreme_test,
     halfplane_slacks,
     pauli_embedded,
     qutrit_counterexample,
@@ -85,34 +84,6 @@ def test_adaptive_refinement_closes_gaps():
         return float(np.max(diffs))
 
     assert max_gap(fine) <= max_gap(coarse)
-
-
-def test_embry_unique_achieving_state_is_extreme():
-    assert embry_extreme_test((1.0, 0.0), PAULI_X, PAULI_Y, search_restarts=60, seed=0)
-
-
-def test_embry_detects_non_extreme_origin():
-    x3, y3, _ = pauli_embedded(3)
-    third = np.array([0, 0, 1], dtype=complex)
-    mix = np.array([1, 1j, 0], dtype=complex) / np.sqrt(2)
-    assert not embry_extreme_test((0.0, 0.0), x3, y3,
-                                  sample_states=np.array([third, mix]),
-                                  search_restarts=40, seed=0)
-
-
-def test_embry_requires_reachable_point():
-    with pytest.raises(ValueError):
-        embry_extreme_test((5.0, 5.0), PAULI_X, PAULI_Y, search_restarts=5, seed=0)
-
-
-def test_embry_nondegenerate_boundary_point_is_extreme(rng):
-    a1 = random_hermitian(3, rng)
-    a2 = random_hermitian(3, rng)
-    planar = boundary_sweep(a1, a2, 32)
-    k = int(np.nonzero(planar.degeneracy == 1)[0][0])
-    assert embry_extreme_test(tuple(planar.points[k]), a1, a2,
-                              sample_states=planar.states[k][None],
-                              search_restarts=40, seed=1)
 
 
 def test_consistency_scan_random_pair(rng):
