@@ -4,10 +4,10 @@ Two notions are handled.  A pure state is *uniquely determined among pure
 states* (UDP) if no other pure state reproduces its expectation values, and
 *uniquely determined among all states* (UDA) if no state at all does.
 
-Positive certificates come from structure: a trivial orthocomplement means
-the measurements amount to full tomography, and observable sets built by
-:func:`udalab.construction.uda_observables` guarantee every perturbation
-direction leaves the positive cone.  Everything else is attacked by
+Positive certificates come from the observables' span alone: a trivial
+orthocomplement means full tomography, and one inside the line-matrix family
+span (:func:`udalab.construction.family_span_outside`) has only directions
+that leave the positive cone at a pure state.  Everything else is attacked by
 falsification engines: Dykstra alternating projections between the PSD cone
 and the measurement-affine slab (for UDA) and projected gradient descent on
 the unit sphere (for UDP).  When the engines find nothing the verdict is an
@@ -21,9 +21,10 @@ from typing import Any
 
 import numpy as np
 
-from .construction import ObservableSet, OperatorSubspace, traceless_complement
+from .construction import (FAMILY_SPAN_CUT, ObservableSet, family_size_formula,
+                           family_span_outside, traceless_complement)
 from .linalg import (check_hermitian, check_hermitian_stack, eig_hermitian, hermitize, hs_norm,
-                     row_span, signature)
+                     real_rows, row_span)
 from .states import check_pure, pure_density, random_density, random_pure
 
 CERTIFIED = "CertifiedUnique"
@@ -38,8 +39,6 @@ MIN_STEP = 1e-12
 GRADIENT_TOL = 1e-10
 # UDP finals with a larger overlap with the query are tallied as near-orbit.
 ORBIT_OVERLAP = 0.99
-# Complement directions sampled per restart by the two-sided structural route.
-STRUCTURAL_SAMPLES_PER_RESTART = 100
 # Relative singular-value cut of the affine constraints: the square root of
 # the rcond 1e-13 that a pseudo-inverse of their Gram matrix would use.
 AFFINE_RANK_TOL = float(np.sqrt(1e-13))
@@ -81,19 +80,19 @@ class CertificateOutcome:
         return self.verdict == FALSIFIED
 
 
-def as_observable_stack(observables) -> tuple[np.ndarray, bool, int]:
-    """Normalize an ObservableSet or array stack to (stack, structural_flag, q)."""
+def as_observable_stack(observables) -> np.ndarray:
+    """Normalize an ObservableSet, one matrix or a matrix stack to a ``(k, d, d)`` stack."""
     if isinstance(observables, ObservableSet):
-        return observables.matrices, observables.complement_two_sided, observables.q
+        return observables.matrices
     stack = np.asarray(observables, dtype=complex)
     if stack.ndim == 2:
         stack = stack[None, :, :]
-    return stack, False, 1
+    return stack
 
 
 def measure(observables, state: np.ndarray) -> np.ndarray:
     """Expectation values in a pure or mixed state; raises as :func:`udalab.basis.expectation`."""
-    stack, _, _ = as_observable_stack(observables)
+    stack = as_observable_stack(observables)
     check_hermitian_stack(stack)
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1 and state.shape[0] == stack.shape[1]:
@@ -103,21 +102,10 @@ def measure(observables, state: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", stack, state))
 
 
-def observable_span_complement(observables, d: int) -> OperatorSubspace:
-    """Orthocomplement of the observables' traceless span."""
-    stack, _, _ = as_observable_stack(observables)
-    return traceless_complement(stack, d)
-
-
 def _project_psd(mats: np.ndarray) -> np.ndarray:
     """Batched projection onto the PSD cone (eigenvalue clipping; eigh reads one triangle)."""
     values, vectors = np.linalg.eigh(mats)
     return (vectors * np.clip(values, 0.0, None)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-
-
-def _flat(mats: np.ndarray) -> np.ndarray:
-    """Matrices as real rows: real and imaginary parts of the flattened entries."""
-    return np.ascontiguousarray(mats, dtype=complex).reshape(*mats.shape[:-2], -1).view(float)
 
 
 class _AffineProjector:
@@ -133,17 +121,17 @@ class _AffineProjector:
 
     def __init__(self, stack: np.ndarray, anchors: np.ndarray):
         constraints = np.concatenate([np.eye(stack.shape[1])[None], stack], dtype=complex)
-        self.rows = constraints.reshape(len(constraints), -1).view(float)
+        self.rows = real_rows(constraints)
         self.basis = row_span(self.rows, AFFINE_RANK_TOL).basis
-        anchors = _flat(np.asarray(anchors, dtype=complex))
+        anchors = real_rows(np.asarray(anchors, dtype=complex))
         self.anchor_coords = anchors @ self.basis.T
         self.anchor_values = anchors @ self.rows.T
 
     def residual(self, mats: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(_flat(mats) @ self.rows.T - self.anchor_values, axis=-1)
+        return np.linalg.norm(real_rows(mats) @ self.rows.T - self.anchor_values, axis=-1)
 
     def __call__(self, mats: np.ndarray) -> np.ndarray:
-        flat = _flat(mats)
+        flat = real_rows(mats)
         step = (flat @ self.basis.T - self.anchor_coords) @ self.basis
         return (flat - step).view(complex).reshape(mats.shape)
 
@@ -188,12 +176,10 @@ def _dykstra(starts: np.ndarray, affine: _AffineProjector, cfg: FeasibilityConfi
     }
 
 
-def _structural_certificate(psi: np.ndarray, observables,
-                            cfg: FeasibilityConfig) -> CertificateOutcome | None:
+def _structural_certificate(stack: np.ndarray) -> CertificateOutcome | None:
     """Certify through the orthocomplement structure when possible."""
-    stack, flagged, q = as_observable_stack(observables)
     d = stack.shape[1]
-    comp = observable_span_complement(stack, d)
+    comp = traceless_complement(stack, d)
     if comp.dim == 0:
         return CertificateOutcome(
             verdict=CERTIFIED,
@@ -202,32 +188,17 @@ def _structural_certificate(psi: np.ndarray, observables,
                 "detail": "trivial orthocomplement: expectations plus trace determine the state",
             },
         )
-    if not flagged:
+    outside = family_span_outside(comp)
+    if outside > FAMILY_SPAN_CUT:
         return None
-    rng = np.random.default_rng(cfg.seed)
-    total = cfg.restarts * STRUCTURAL_SAMPLES_PER_RESTART
-    need = q + 1
-    min_plus = d
-    min_minus = d
-    for _ in range(total):
-        coeff = rng.standard_normal(comp.dim)
-        norm = np.linalg.norm(coeff)
-        if norm == 0:
-            continue
-        v = np.tensordot(coeff / norm, comp.basis, axes=1)
-        n_plus, n_minus, _ = signature(v)
-        min_plus = min(min_plus, n_plus)
-        min_minus = min(min_minus, n_minus)
-        if n_plus < need or n_minus < need:
-            return None
     return CertificateOutcome(
         verdict=CERTIFIED,
         evidence={
             "route": "two-sided-complement",
-            "detail": "every sampled complement direction has >= q+1 eigenvalues of each sign",
-            "samples": total,
-            "min_n_plus": min_plus,
-            "min_n_minus": min_minus,
+            "detail": "orthocomplement in the family span: >= 2 eigenvalues of each sign",
+            "complement_dim": comp.dim,
+            "family_dim": family_size_formula(d, 1),
+            "outside": outside,
         },
     )
 
@@ -240,13 +211,14 @@ def uda_certify(psi: np.ndarray, observables, cfg: FeasibilityConfig | None = No
     unavailable, the verdict is that of :func:`falsify_uda`.
     """
     cfg = cfg or FeasibilityConfig()
-    check_pure(psi)
-    measure(observables, psi)  # rejects mismatched dimensions
-    if use_structural:
-        outcome = _structural_certificate(psi, observables, cfg)
+    stack = as_observable_stack(observables)
+    if use_structural:  # the structural route reads no state, so it is validated here
+        check_pure(psi)
+        measure(stack, psi)  # rejects mismatched dimensions
+        outcome = _structural_certificate(stack)
         if outcome is not None:
             return outcome
-    return falsify_uda([psi], observables, cfg)[0]
+    return falsify_uda([psi], stack, cfg)[0]
 
 
 def falsify_uda(states, observables, cfg: FeasibilityConfig | None = None) -> list[CertificateOutcome]:
@@ -260,7 +232,7 @@ def falsify_uda(states, observables, cfg: FeasibilityConfig | None = None) -> li
     state, in order.
     """
     cfg = cfg or FeasibilityConfig()
-    stack, _, _ = as_observable_stack(observables)
+    stack = as_observable_stack(observables)
     for psi in states:
         check_pure(psi)
         measure(stack, psi)  # rejects mismatched dimensions
@@ -385,7 +357,7 @@ def udp_certify(psi: np.ndarray, observables, cfg: FeasibilityConfig | None = No
     """
     cfg = cfg or FeasibilityConfig(restarts=50)
     check_pure(psi)
-    stack, _, _ = as_observable_stack(observables)
+    stack = as_observable_stack(observables)
     target = measure(stack, psi)  # rejects mismatched dimensions
     rng = np.random.default_rng(cfg.seed)
     best_off_orbit = np.inf
@@ -442,7 +414,7 @@ def gap_witness(v: np.ndarray, observables) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=complex)
     check_hermitian(v)
     d = v.shape[0]
-    stack, _, _ = as_observable_stack(observables)
+    stack = as_observable_stack(observables)
     norm = hs_norm(v)
     if norm == 0:
         raise ValueError("direction must be nonzero")
@@ -493,7 +465,7 @@ def ground_state_check(coeffs: np.ndarray, observables, cfg: FeasibilityConfig |
     ``1e-8 * norm`` for the lowest eigenvalue, and runs :func:`uda_certify`
     on the ground state; a falsification here would be a contradiction.
     """
-    stack, _, _ = as_observable_stack(observables)
+    stack = as_observable_stack(observables)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[0] != stack.shape[0]:
         raise ValueError("coefficient count does not match observable count")
@@ -504,6 +476,5 @@ def ground_state_check(coeffs: np.ndarray, observables, cfg: FeasibilityConfig |
     if gap <= 1e-8 * scale:
         raise ValueError("ground state is degenerate within tolerance")
     psi = vectors[:, 0]
-    obs = observables if isinstance(observables, ObservableSet) else stack
-    outcome = uda_certify(psi, obs, cfg, use_structural=use_structural)
+    outcome = uda_certify(psi, stack, cfg, use_structural=use_structural)
     return GroundStateReport(ground_state=psi, gap=gap, outcome=outcome)

@@ -48,8 +48,7 @@ def _outcome_doc(outcome, extra: dict) -> dict:
     if outcome.witness is not None:
         witness = np.asarray(outcome.witness)
         key = "witness_state" if witness.ndim == 1 else "witness_density"
-        doc[key] = matio.vector_to_json(witness) if witness.ndim == 1 \
-            else matio.matrix_to_json(witness)
+        doc[key] = matio.matrix_to_json(witness)
     doc["evidence"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
                        for k, v in outcome.evidence.items()}
     return doc
@@ -58,27 +57,23 @@ def _outcome_doc(outcome, extra: dict) -> dict:
 def cmd_construct(args) -> int:
     family = construction.complement_family(args.d, args.q)
     observables = construction.uda_observables(args.d, args.q)
+    config = {"d": args.d, "q": args.q, "seed": args.seed}
     if args.out:
         fam_path, obs_path = args.out
-        family_doc = (matio.observables_to_json(family.matrices) if len(family)
-                      else {"d": args.d, "matrices": []})
         matio.write_json(fam_path, {
-            **_provenance("construct", "observable-construction",
-                          {"d": args.d, "q": args.q, "seed": args.seed}),
+            **_provenance("construct", "observable-construction", config),
             "count": len(family),
             "lines": [[k, kind] for k, kind in family.lines],
-            **family_doc,
+            **matio.observables_to_json(family.matrices),
         })
         matio.write_json(obs_path, {
-            **_provenance("construct", "observable-construction",
-                          {"d": args.d, "q": args.q, "seed": args.seed}),
+            **_provenance("construct", "observable-construction", config),
             "count": len(observables),
             **matio.observables_to_json(observables.matrices),
         })
     summary = {
         **_provenance("construct", "observable-construction",
-                      {"d": args.d, "q": args.q, "seed": args.seed,
-                       "verify_samples": args.verify_samples}),
+                      {**config, "verify_samples": args.verify_samples}),
         "family_count": len(family),
         "observable_count": len(observables),
     }

@@ -11,12 +11,16 @@ all states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import gellmann_basis
-from .linalg import check_hermitian, eig_hermitian, row_span, signature, spectral_norm
+from .linalg import check_hermitian, eig_hermitian, real_rows, row_span, signature, spectral_norm
+
+# The largest family_span_outside at which a complement counts as inside.
+FAMILY_SPAN_CUT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,18 +56,11 @@ class OperatorSubspace:
 class ObservableSet:
     """Ordered tuple of Hermitian observables.
 
-    ``complement_two_sided`` marks sets built by :func:`uda_observables`,
-    whose orthocomplement provably contains only matrices with at least q+1
-    eigenvalues of each sign; certifiers may rely on that structure.
+    It carries no claim about itself: certifiers decide the structure of the
+    span from ``matrices`` alone (see :func:`family_span_outside`).
     """
 
     matrices: np.ndarray
-    complement_two_sided: bool = False
-    q: int = field(default=1)
-
-    @property
-    def d(self) -> int:
-        return self.matrices.shape[1]
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -226,6 +223,27 @@ def traceless_complement(mats: np.ndarray, d: int) -> OperatorSubspace:
     return OperatorSubspace(d=d, basis=np.tensordot(span.complement, frame, axes=1))
 
 
+@functools.lru_cache(maxsize=None)
+def _family_rows(d: int) -> np.ndarray:
+    """Orthonormal real rows spanning complement_family(d, 1)."""
+    return real_rows(subspace_from_matrices(complement_family(d, 1).matrices, d).basis)
+
+
+def family_span_outside(comp: OperatorSubspace) -> float:
+    """Largest distance of a unit direction of ``comp`` from span(complement_family(d, 1)).
+
+    At zero, every nonzero element of ``comp`` lies in the family span and so
+    has two eigenvalues of each sign; every q-family is a subset of this one.
+    A ``comp`` larger than the family is outside by 1.0 without a solve.
+    """
+    d = comp.d
+    if comp.dim > family_size_formula(d, 1):
+        return 1.0
+    family = _family_rows(d)
+    rows = real_rows(comp.basis)
+    return float(np.linalg.norm(rows - (rows @ family.T) @ family, 2))
+
+
 def orthocomplement(subspace: OperatorSubspace) -> OperatorSubspace:
     """Orthocomplement within the traceless Hermitian matrices."""
     return traceless_complement(subspace.basis, subspace.d)
@@ -241,7 +259,7 @@ def uda_observables(d: int, q: int = 1) -> ObservableSet:
     if d <= 2:
         raise ValueError("construction requires dimension greater than 2")
     comp = traceless_complement(complement_family(d, q).matrices, d)
-    return ObservableSet(matrices=comp.basis, complement_two_sided=True, q=q)
+    return ObservableSet(matrices=comp.basis)
 
 
 def antitriangular_signature_check(mat: np.ndarray, q: int, det_tol: float = 1e-9) -> bool:

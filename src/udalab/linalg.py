@@ -51,6 +51,12 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def real_rows(mats: np.ndarray) -> np.ndarray:
+    """Matrices as rows of their entries' real and imaginary parts: dots are Re tr(A† B)."""
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    return mats.reshape(mats.shape[:-2] + (mats.shape[-2] * mats.shape[-1],)).view(float)
+
+
 def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value; for Hermitian input the largest |eigenvalue|."""
     return float(np.linalg.norm(np.asarray(mat), 2))

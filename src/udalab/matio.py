@@ -4,7 +4,8 @@ Matrix schema: ``{"d": n, "entries": [[re, im], ...]}`` with the entries in
 row-major order.  A file with exactly ``n`` entry pairs is an amplitude
 vector; ``n*n`` pairs make a matrix.  Observable files carry a list of
 row-major entry lists under ``"matrices"``; tripartite tensors carry
-``"dims"`` plus flattened entries in (i, j, k) order.
+``"dims"`` plus flattened entries in (i, j, k) order.  The loaders check this
+shape, and that observables are Hermitian, and raise ``ValueError`` otherwise.
 
 Serialization is byte-deterministic: floats are rendered with 17 significant
 digits, dictionaries keep insertion order, and no whitespace choices are left
@@ -18,6 +19,8 @@ from dataclasses import is_dataclass, asdict
 from typing import Any
 
 import numpy as np
+
+from .linalg import check_hermitian_stack
 
 
 def format_float(x: float) -> str:
@@ -77,13 +80,12 @@ def _entries(mat: np.ndarray) -> list[list[float]]:
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
+    """A ``(d, d)`` matrix, or a ``(d,)`` amplitude vector, in the shared schema."""
     mat = np.asarray(mat, dtype=complex)
     return {"d": int(mat.shape[0]), "entries": _entries(mat)}
 
 
-def vector_to_json(vec: np.ndarray) -> dict:
-    vec = np.asarray(vec, dtype=complex)
-    return {"d": int(vec.shape[0]), "entries": _entries(vec)}
+vector_to_json = matrix_to_json
 
 
 def observables_to_json(stack: np.ndarray) -> dict:
@@ -95,25 +97,41 @@ def tensor_to_json(dims, tensor: np.ndarray) -> dict:
     return {"dims": [int(x) for x in dims], "entries": _entries(np.asarray(tensor))}
 
 
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _from_entries(entries, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(shape)
+    size = int(np.prod(shape))
+    if not isinstance(entries, list) or len(entries) != size:
+        raise ValueError(f"expected a list of {size} entries")
+    try:
+        return np.array([complex(re, im) for re, im in entries]).reshape(shape)
+    except (TypeError, ValueError):
+        raise ValueError("each entry must be a pair [re, im] of numbers") from None
 
 
-def load_json(path: str) -> Any:
+def load_json(path: str) -> dict:
+    """Read one JSON document, which must be an object."""
     with open(path) as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def parse_matrix_or_vector(doc: dict) -> np.ndarray:
     """Parse the shared schema; returns a (d,) vector or a (d, d) matrix."""
-    d = int(doc["d"])
-    entries = doc["entries"]
-    if len(entries) == d:
+    d = _positive_int(doc.get("d"), "'d'")
+    entries = doc.get("entries")
+    count = len(entries) if isinstance(entries, list) else None
+    if count == d:
         return _from_entries(entries, (d,))
-    if len(entries) == d * d:
+    if count == d * d:
         return _from_entries(entries, (d, d))
-    raise ValueError(f"expected {d} or {d * d} entries, got {len(entries)}")
+    raise ValueError(f"expected a list of {d} or {d * d} entries, got {count}")
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -131,14 +149,21 @@ def load_vector(path: str) -> np.ndarray:
 
 
 def load_observables(path: str) -> np.ndarray:
+    """A ``(k, d, d)`` stack of Hermitian observables, ``k >= 1``."""
     doc = load_json(path)
-    d = int(doc["d"])
-    mats = [_from_entries(entries, (d, d)) for entries in doc["matrices"]]
-    return np.array(mats)
+    d = _positive_int(doc.get("d"), "'d'")
+    mats = doc.get("matrices")
+    if not isinstance(mats, list) or not mats:
+        raise ValueError("'matrices' must be a non-empty list of entry lists")
+    stack = np.array([_from_entries(entries, (d, d)) for entries in mats])
+    check_hermitian_stack(stack)
+    return stack
 
 
 def load_tensor(path: str) -> tuple[tuple[int, ...], np.ndarray]:
     doc = load_json(path)
-    dims = tuple(int(x) for x in doc["dims"])
-    tensor = _from_entries(doc["entries"], dims)
-    return dims, tensor
+    dims = doc.get("dims")
+    if not isinstance(dims, list) or not dims:
+        raise ValueError("'dims' must be a non-empty list of positive integers")
+    dims = tuple(_positive_int(x, "each of 'dims'") for x in dims)
+    return dims, _from_entries(doc.get("entries"), dims)

@@ -21,9 +21,10 @@ from typing import Any
 
 import numpy as np
 
-from .basis import gellmann_basis
-from .certify import CertificateOutcome, FALSIFIED, FeasibilityConfig, measure, uda_certify
-from .linalg import Span, check_hermitian, row_span
+from .basis import PAULI_X, PAULI_Y, PAULI_Z, gellmann_basis
+from .certify import (CertificateOutcome, FALSIFIED, FeasibilityConfig, as_observable_stack,
+                      measure, uda_certify)
+from .linalg import Span, check_hermitian_stack, row_span
 from .states import pure_density, random_pure
 
 
@@ -207,17 +208,10 @@ def _complex_span(mats, tol: float = 1e-10) -> Span:
     return row_span(stack.reshape(len(stack), -1), tol)
 
 
-def _as_matrix_list(observables) -> list[np.ndarray]:
-    from .certify import as_observable_stack
-
-    stack, _, _ = as_observable_stack(observables)
-    return [m for m in stack]
-
-
 def _unital_span(observables, tol: float = 1e-10) -> tuple[Span, int]:
-    mats = _as_matrix_list(observables)
-    d = mats[0].shape[0]
-    return _complex_span([np.eye(d, dtype=complex)] + mats, tol), d
+    stack = as_observable_stack(observables)
+    d = stack.shape[1]
+    return _complex_span(np.concatenate([np.eye(d, dtype=complex)[None], stack]), tol), d
 
 
 def is_star_algebra(observables, tol: float = 1e-8) -> bool:
@@ -241,8 +235,8 @@ def commutant(observables, tol: float = 1e-10) -> np.ndarray:
     matrices; its null space is the orthocomplement of the conjugated rows.
     The complex dimension is the length of the returned stack.
     """
-    mats = _as_matrix_list(observables)
-    d = mats[0].shape[0]
+    mats = as_observable_stack(observables)
+    d = mats.shape[1]
     eye = np.eye(d)
     # Commuting with A is commuting with its traceless part.  Scalar parts are
     # dropped and the rest normalized, so that the relative threshold is never
@@ -308,9 +302,9 @@ def udp_implies_uda_via_symmetry(observables) -> SymmetryVerdict:
     through the reflection construction.  Absence of a certificate is not a
     refutation.
     """
-    mats = _as_matrix_list(observables)
-    star = is_star_algebra(mats)
-    return symmetry_verdict(mats[0].shape[0], star, commutant(mats) if star else None)
+    stack = as_observable_stack(observables)
+    star = is_star_algebra(stack)
+    return symmetry_verdict(stack.shape[1], star, commutant(stack) if star else None)
 
 
 def symmetry_verdict(d: int, star: bool, comm: np.ndarray | None) -> SymmetryVerdict:
@@ -383,8 +377,6 @@ def xy_reflection_group() -> SymmetryGroup:
     The bare transpose sends Bloch (x, y, z) to (x, -y, z); conjugating by
     Pauli X afterwards restores y and flips z, fixing exactly span{I, X, Y}.
     """
-    from .basis import PAULI_X
-
     return SymmetryGroup(elements=(
         SymmetryElement(unitary=np.eye(2, dtype=complex)),
         SymmetryElement(unitary=PAULI_X, transpose_flag=True),
@@ -417,8 +409,6 @@ def permutation_conjugation_group(d: int) -> SymmetryGroup:
 
 def pauli_conjugation_group() -> SymmetryGroup:
     """Conjugations by I, X, Y, Z on a qubit (projectively closed)."""
-    from .basis import PAULI_X, PAULI_Y, PAULI_Z
-
     return SymmetryGroup(elements=tuple(
         SymmetryElement(unitary=u) for u in
         (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)))
@@ -449,15 +439,11 @@ class QubitClassification:
 
 
 def _qubit_bloch(mat: np.ndarray) -> np.ndarray:
-    from .basis import PAULI_X, PAULI_Y, PAULI_Z
-
     return np.array([float(np.real(np.trace(mat @ p))) / 2
                      for p in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
 def _bloch_state(r: np.ndarray) -> np.ndarray:
-    from .basis import PAULI_X, PAULI_Y, PAULI_Z
-
     rho = (np.eye(2, dtype=complex) + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2
     values, vectors = np.linalg.eigh(rho)
     return vectors[:, -1]
@@ -473,20 +459,17 @@ def qubit_classification(observables, samples: int = 20, seed: int = 0,
     their reflection through the span, an explicitly constructed partner with
     identical expectations.
     """
-    mats = _as_matrix_list(observables)
-    d = mats[0].shape[0]
-    if d != 2:
+    stack = as_observable_stack(observables)
+    if stack.shape[1] != 2:
         raise ValueError("classification applies to qubits only")
-    for m in mats:
-        check_hermitian(m)
+    check_hermitian_stack(stack)
     cfg = cfg or FeasibilityConfig(restarts=5, max_iterations=1500)
-    span = row_span(np.array([_qubit_bloch(m) for m in mats]), 1e-10)
+    span = row_span(np.array([_qubit_bloch(m) for m in stack]), 1e-10)
     span_dim = span.rank
     frame = span.basis  # orthonormal frame of the span
     labels = {0: "center", 1: "diameter", 2: "disk-section", 3: "full-ball"}
 
     rng = np.random.default_rng(seed)
-    stack = np.array(mats)
     on_outcomes: list[CertificateOutcome] = []
     off_outcomes: list[CertificateOutcome] = []
 

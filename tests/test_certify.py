@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udalab.basis import PAULI_X, PAULI_Y, PAULI_Z, expectation
 from udalab.certify import (
@@ -13,11 +14,11 @@ from udalab.certify import (
     gap_witness,
     ground_state_check,
     measure,
-    observable_span_complement,
     uda_certify,
     udp_certify,
 )
-from udalab.construction import orthocomplement, subspace_from_matrices, uda_observables
+from udalab.construction import (FAMILY_SPAN_CUT, orthocomplement, subspace_from_matrices,
+                                 traceless_complement, uda_observables)
 from udalab.numrange import pauli_embedded
 from udalab.states import pure_density, random_density, random_pure
 
@@ -73,7 +74,7 @@ def projection_equivalence(observables, rho1, rho2, tol=1e-8):
     d = stack.shape[1]
     meas_equal = bool(np.max(np.abs(measure(stack, rho1) - measure(stack, rho2))) < tol)
     diff = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
-    comp = observable_span_complement(stack, d).basis
+    comp = traceless_complement(stack, d).basis
     traceless = diff - np.trace(diff) / d * np.eye(d)
     in_comp = np.tensordot(np.einsum("iab,ab->i", comp.conj(), traceless), comp, axes=1)
     proj_equal = bool(np.linalg.norm(traceless - in_comp) < tol
@@ -118,8 +119,45 @@ def test_uda_structural_certificate():
     outcome = uda_certify(random_pure(4, 0), obs, FeasibilityConfig(restarts=2, seed=1))
     assert outcome.verdict == CERTIFIED
     assert outcome.evidence["route"] == "two-sided-complement"
-    assert outcome.evidence["min_n_plus"] >= 2
-    assert outcome.evidence["min_n_minus"] >= 2
+    assert outcome.evidence["complement_dim"] == outcome.evidence["family_dim"] == 2
+    assert 0.0 <= outcome.evidence["outside"] <= FAMILY_SPAN_CUT
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_structural_route_reads_only_the_observables(data):
+    d = data.draw(st.integers(min_value=4, max_value=8), label="d")
+    obs = uda_observables(d, 1)
+    scales = np.array(data.draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                                         min_size=len(obs), max_size=len(obs)), label="scales"))
+    psi = random_pure(d, data.draw(st.integers(min_value=0, max_value=2**31), label="seed"))
+    cfg = FeasibilityConfig(restarts=1, max_iterations=50)
+    outcomes = [uda_certify(psi, stack, cfg)
+                for stack in (obs, obs.matrices, scales[:, None, None] * obs.matrices)]
+    for outcome in outcomes:
+        assert outcome.verdict == CERTIFIED
+        assert outcome.evidence["route"] == "two-sided-complement"
+        assert outcome.evidence["outside"] <= FAMILY_SPAN_CUT
+    assert outcomes[0].evidence == outcomes[1].evidence
+
+
+def test_structural_route_needs_the_family_span(rng):
+    cfg = FeasibilityConfig(restarts=2, max_iterations=50)
+    for d in (4, 5):
+        mats = uda_observables(d, 1).matrices
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rotated = np.einsum("ab,kbc,dc->kad", u, mats, u.conj())
+        for stack in (rotated, mats[1:]):
+            outcome = uda_certify(random_pure(d, rng), stack, cfg)
+            assert outcome.evidence["route"] == "dykstra"
+
+
+def test_rank_q_sets_certify_pure_states():
+    for d, q in ((6, 2), (8, 2), (8, 3)):
+        outcome = uda_certify(random_pure(d, d), uda_observables(d, q))
+        assert outcome.verdict == CERTIFIED
+        assert outcome.evidence["route"] == "two-sided-complement"
+        assert outcome.evidence["complement_dim"] < outcome.evidence["family_dim"]
 
 
 def test_uda_falsifies_embedded_pauli_third_level():
@@ -256,7 +294,7 @@ def test_affine_projector_properties(rng):
         assert np.all(affine.residual(projected) < 1e-12 * scale * d * d)
         assert np.max(np.abs(affine(projected) - projected)) < 1e-12 * scale
         # the step lies in span{I, A_i}: orthogonal to every direction within the set
-        directions = observable_span_complement(stack, d).basis
+        directions = traceless_complement(stack, d).basis
         step = mats - projected
         overlaps = np.einsum("kab,nab->nk", directions.conj(), step)
         assert np.max(np.abs(overlaps)) < 1e-12 * scale * d
@@ -385,9 +423,9 @@ def test_gap_witness_precondition_errors():
 
 
 def test_observable_span_complement_dimensions():
-    comp = observable_span_complement(PAULI, 2)
+    comp = traceless_complement(PAULI, 2)
     assert comp.dim == 0
-    comp = observable_span_complement(np.array([PAULI_Z]), 2)
+    comp = traceless_complement(np.array([PAULI_Z]), 2)
     assert comp.dim == 2
 
 

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import udalab
 from udalab import matio
 from udalab.basis import PAULI_X, PAULI_Y, PAULI_Z
 from udalab.cli import dispatch
 from udalab.numrange import pauli_embedded
+from udalab.states import random_pure
 
 
 def run(capsys, argv):
@@ -29,6 +35,13 @@ def test_construct_counts(capsys, tmp_path):
     assert doc["signature_check"]["min_n_plus"] == 2
     written = matio.load_observables(str(obs))
     assert written.shape == (13, 4, 4)
+    state = tmp_path / "psi.json"
+    matio.write_json(str(state), matio.vector_to_json(random_pure(4, 0)))
+    code, out = run(capsys, ["certify-uda", "--state", str(state), "--observables", str(obs)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "CertifiedUnique"
+    assert doc["evidence"]["route"] == "two-sided-complement"
 
 
 def test_certify_uda_qutrit_gap(capsys, tmp_path):
@@ -228,6 +241,47 @@ def test_domain_errors_exit_one(capsys, tmp_path):
                      "--observables", "/nonexistent.json"])
     assert code == 1
     capsys.readouterr()
+
+
+MALFORMED = {
+    "entry-not-a-pair": {"d": 2, "entries": [[1, 0], 5, [0, 0], [1, 0]]},
+    "matrices-not-a-list": {"d": 2, "matrices": 7},
+    "top-level-list": [[1, 0], [0, 0]],
+    "no-matrices": {"d": 2, "matrices": []},
+    "bad-dimension": {"d": 0, "matrices": [[[1, 0]]]},
+    "entry-in-matrices": {"d": 2, "matrices": [[[1, 0], 5, [0, 0], [1, 0]]]},
+    "non-hermitian": {"d": 2, "matrices": [[[0, 0], [1, 0], [0, 0], [0, 0]]]},
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("certify-uda", "entry-not-a-pair"), ("certify-uda", "matrices-not-a-list"),
+    ("certify-uda", "top-level-list"), ("certify-uda", "no-matrices"),
+    ("certify-uda", "bad-dimension"), ("certify-uda", "non-hermitian"),
+    ("numrange", "entry-not-a-pair"), ("numrange", "top-level-list"),
+    ("symmetry", "matrices-not-a-list"), ("symmetry", "top-level-list"),
+    ("symmetry", "no-matrices"), ("symmetry", "entry-in-matrices"),
+    ("symmetry", "non-hermitian"),
+])
+def test_malformed_input_exits_one_with_a_message(tmp_path, command, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED[name]))
+    good = tmp_path / "good.json"
+    if command == "certify-uda":
+        state = bad if "entries" in MALFORMED[name] else good
+        matio.write_json(str(good), matio.vector_to_json(np.array([1, 0], dtype=complex)))
+        argv = ["--state", str(state), "--observables", str(bad)]
+    elif command == "numrange":
+        matio.write_json(str(good), matio.matrix_to_json(PAULI_X))
+        argv = ["--a1", str(bad), "--a2", str(good), "--angles", "4"]
+    else:
+        argv = ["--observables", str(bad)]
+    env = dict(os.environ, PYTHONPATH=str(Path(udalab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "udalab.cli", command, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_reproduce_subset(capsys, tmp_path):

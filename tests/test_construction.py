@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from udalab.construction import (
+    FAMILY_SPAN_CUT,
     antitriangular_signature_check,
     complement_family,
     complex_span_rank_demo,
     family_signature_check,
     family_size_formula,
+    family_span_outside,
     line_length,
     line_positions,
     observable_count_formula,
     orthocomplement,
     subspace_from_matrices,
     totally_nonsingular_matrix,
+    traceless_complement,
     uda_observables,
 )
 from udalab.basis import PAULI_X, PAULI_Y, PAULI_Z
@@ -222,7 +225,32 @@ def test_observables_orthogonal_to_family():
     obs = uda_observables(4, 1)
     assert len(obs) == 13
     assert_orthonormal_and_orthogonal_to_family(obs, fam)
-    assert obs.complement_two_sided
+
+
+def test_rank_families_are_subsets_of_the_q1_family():
+    for d in range(3, 13):
+        base = complement_family(d, 1)
+        for q in (2, 3):
+            fam = complement_family(d, q)
+            for mat, line in zip(fam.matrices, fam.lines):
+                same = [j for j, other in enumerate(base.matrices) if np.array_equal(mat, other)]
+                assert len(same) == 1 and base.lines[same[0]] == line
+
+
+def test_family_span_outside_decides_the_complement(rng):
+    def outside(mats):
+        return family_span_outside(traceless_complement(mats, mats.shape[1]))
+
+    for d in range(4, 13):
+        mats = uda_observables(d, 1).matrices
+        assert outside(mats) <= FAMILY_SPAN_CUT
+        # one observable fewer: a complement direction orthogonal to the family
+        assert outside(mats[1:]) == 1.0
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        assert outside(np.einsum("ab,kbc,dc->kad", u, mats, u.conj())) > 0.5
+    for q in (2, 3):
+        for d in (2 * q + 2, 2 * q + 4):
+            assert outside(uda_observables(d, q).matrices) <= FAMILY_SPAN_CUT
 
 
 def test_observables_reject_qubit():

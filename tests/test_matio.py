@@ -51,11 +51,15 @@ def test_vector_matrix_disambiguation(tmp_path):
 
 
 def test_observables_round_trip(tmp_path, rng):
-    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    raw = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    stack = raw + raw.conj().transpose(0, 2, 1)
     path = tmp_path / "obs.json"
     matio.write_json(str(path), matio.observables_to_json(stack))
     loaded = matio.load_observables(str(path))
     np.testing.assert_allclose(loaded, stack, atol=0)
+    matio.write_json(str(path), matio.observables_to_json(raw))
+    with pytest.raises(ValueError, match="Hermitian"):
+        matio.load_observables(str(path))
 
 
 def test_tensor_round_trip(tmp_path, rng):
